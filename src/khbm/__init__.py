@@ -24,7 +24,7 @@ from .banach_mazur import (
     upper_bound_via_transform,
 )
 from .combinatorics import Lemma1Report, SubsetRatioInput, lemma1_bounds, subset_power_ratio, verify_lemma1
-from .constants import KhinchineConstants, gamma, khinchine_constants, lower_constant, upper_constant
+from .constants import KhinchineConstants, khinchine_constants, lower_constant, upper_constant
 from .distributions import (
     SymmetricAtoms,
     envelope_upper,

@@ -34,7 +34,7 @@ from .functional import (
 from .hanner import falsify_hanner, hanner_gap, hlawka_check
 from .norms import LpNorm
 
-__all__ = ["CriterionResult", "criterion_ids", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "criterion_ids", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,3 @@ def run_criterion(cid: int, base_seed: int = 0) -> CriterionResult:
             passed, detail = fn(_subseed(base_seed, k))
             return CriterionResult(cid=k, name=name, passed=passed, detail=detail)
     raise ValueError(f"unknown criterion id {cid}; valid ids are 1..{len(_CRITERIA)}")
-
-
-def run_all(base_seed: int = 0) -> tuple[CriterionResult, ...]:
-    return tuple(run_criterion(cid, base_seed) for cid in criterion_ids())

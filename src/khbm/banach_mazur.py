@@ -24,9 +24,10 @@ smaller); the raw formula value is kept alongside for transparency.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .norms import (
     LpNorm,
     NormSpec,
     PolytopeGauge,
+    _conj,
+    _inv,
     dual_norm_spec,
     estimate_comparison,
     lp_comparison,
@@ -63,10 +66,6 @@ _MAX_CUBE_N = 14
 _P_HI = 64.0
 _GRID_POINTS = 64
 _GOLDEN_ITERS = 120
-
-
-def _inv(r: float) -> float:
-    return 0.0 if math.isinf(r) else 1.0 / r
 
 
 @dataclass(frozen=True)
@@ -225,10 +224,9 @@ def corollary1_lower(p: float, q: float, n: int) -> float:
         raise ValueError(f"need 1 <= p < 2 < q <= inf, got p={p}, q={q}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    q_star = 1.0 if math.isinf(q) else q / (q - 1.0)
     return max(
         lower_constant(p) * float(n) ** (0.5 - _inv(q)),
-        lower_constant(q_star) * float(n) ** (_inv(p) - 0.5),
+        lower_constant(_conj(q)) * float(n) ** (_inv(p) - 0.5),
     )
 
 
@@ -257,14 +255,7 @@ def known_distance(p: float, q: float, n: int) -> Optional[float]:
             return float(n) ** (1.0 - 1.0 / b)
         return None
 
-    def conj(r: float) -> float:
-        if r == 1.0:
-            return math.inf
-        if math.isinf(r):
-            return 1.0
-        return r / (r - 1.0)
-
-    for a, b in ((p, q), (q, p), (conj(p), conj(q)), (conj(q), conj(p))):
+    for a, b in ((p, q), (q, p), (_conj(p), _conj(q)), (_conj(q), _conj(p))):
         val = fact(a, b)
         if val is not None:
             return val
@@ -326,8 +317,7 @@ def upper_bound_via_transform(
     except ValueError:
         if isinstance(K, LpNorm) and math.isinf(K.r) and isinstance(L, LpNorm):
             # max over B_L of ||T^-1 y||_inf is the largest dual-norm row
-            dual_r = dual_norm_spec(L).r
-            factor_in = float(norm_eval_many(LpNorm(dual_r, d), T_inv).max())
+            factor_in = float(norm_eval_many(dual_norm_spec(L), T_inv).max())
         else:
             rng = np.random.default_rng(seed)
             g = rng.standard_normal((samples, d))
@@ -374,6 +364,17 @@ def default_transforms(n: int) -> list[tuple[str, np.ndarray]]:
     if n >= 2 and n & (n - 1) == 0:
         out.append(("hadamard", hadamard_matrix(n)))
     return out
+
+
+def _consistent(
+    lower_bounds: Sequence[LowerBound], known: Optional[float], upper: Optional[TransformBound]
+) -> bool:
+    # max rigorous lower <= known <= rigorous upper, where present; every
+    # pair is checked, since the slack makes leq not quite transitive
+    max_rig = max((lb.value for lb in lower_bounds if lb.rigorous), default=1.0)
+    upper_val = upper.value if upper is not None and upper.rigorous else None
+    chain = [x for x in (max_rig, known, upper_val) if x is not None]
+    return all(tol.leq(a, b) for a, b in itertools.combinations(chain, 2))
 
 
 def sandwich_report(
@@ -437,22 +438,12 @@ def sandwich_report(
         if best_upper is None or (cand.rigorous, -cand.value) > (best_upper.rigorous, -best_upper.value):
             best_upper = cand
 
-    rig = [lb.value for lb in lower if lb.rigorous]
-    max_rig = max(rig) if rig else 1.0
-    consistent = True
-    if known is not None:
-        consistent = consistent and tol.leq(max_rig, known)
-    upper_val = best_upper.value if best_upper is not None and best_upper.rigorous else None
-    if upper_val is not None:
-        consistent = consistent and tol.leq(max_rig, upper_val)
-        if known is not None:
-            consistent = consistent and tol.leq(known, upper_val)
     return BMBoundReport(
         pair=(_fmt_exp(p), _fmt_exp(q)),
         n=n,
         lower_bounds=tuple(lower),
         known_exact=known,
         upper_bound=best_upper,
-        consistent=consistent,
+        consistent=_consistent(lower, known, best_upper),
         notes=tuple(notes),
     )

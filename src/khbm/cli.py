@@ -23,13 +23,13 @@ import numpy as np
 from . import __version__
 from . import tolerances as tol
 from .acceptance import criterion_ids, run_criterion
-from .banach_mazur import BMBoundReport, hadamard_matrix, sandwich_report
+from .banach_mazur import BMBoundReport, _consistent, hadamard_matrix, sandwich_report
 from .combinatorics import SubsetRatioInput, verify_lemma1
 from .constants import khinchine_constants
 from .distributions import l2_lower_constant, parse_atoms
-from .functional import default_budget, ipf_exact, ipf_monte_carlo, verify_theorem1
+from .functional import BoundCheck, default_budget, ipf_exact, ipf_monte_carlo, verify_theorem1
 from .hanner import falsify_hanner, hanner_gap
-from .norms import describe_norm, parse_norm_spec
+from .norms import LpNorm, describe_norm, parse_norm_spec
 
 __all__ = ["main"]
 
@@ -243,17 +243,7 @@ def _filter_report(rep: BMBoundReport, methods: Optional[tuple[str, ...]]) -> BM
     if methods is None:
         return rep
     kept = tuple(lb for lb in rep.lower_bounds if lb.method in methods)
-    rig = [lb.value for lb in kept if lb.rigorous]
-    max_rig = max(rig) if rig else 1.0
-    consistent = True
-    if rep.known_exact is not None:
-        consistent = consistent and tol.leq(max_rig, rep.known_exact)
-    ub = rep.upper_bound
-    if ub is not None and ub.rigorous:
-        consistent = consistent and tol.leq(max_rig, ub.value)
-        if rep.known_exact is not None:
-            consistent = consistent and tol.leq(rep.known_exact, ub.value)
-    return dataclasses.replace(rep, lower_bounds=kept, consistent=consistent)
+    return dataclasses.replace(rep, lower_bounds=kept, consistent=_consistent(kept, rep.known_exact, rep.upper_bound))
 
 
 def _parse_exponent(text: str) -> float:
@@ -309,23 +299,18 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
         # probe of the stronger euclidean lower constant (max of the two
         # exponent branches); it is not asserted anywhere else because it
         # fails on small-support laws, and a failure here is a finding
-        from .norms import LpNorm
-
         if not (isinstance(norm, LpNorm) and norm.r == 2.0):
             raise UsageError("--paper-l2-constant requires a euclidean norm (lp:2:<d>)")
         ip = ipf_exact(v, f, args.p, norm, budget=args.budget).value
         c = l2_lower_constant(f, args.p, paper_variant=True)
         rhs = c * float(np.sqrt((np.asarray(v, dtype=float) ** 2).sum()))
         checks.append(
-            {
-                "side": "lower-l2-max-variant",
-                "i_p": ip,
-                "bound_constant": c,
-                "rhs": rhs,
-                "margin": ip - rhs,
-                "holds": tol.geq(ip, rhs, rel=args.rel_slack, abs_=args.abs_slack),
-                "witness_s": None,
-            }
+            dataclasses.asdict(
+                BoundCheck(
+                    side="lower-l2-max-variant", i_p=ip, bound_constant=c, rhs=rhs, margin=ip - rhs,
+                    holds=tol.geq(ip, rhs, rel=args.rel_slack, abs_=args.abs_slack), witness_s=None,
+                )
+            )
         )
     all_hold = all(c["holds"] for c in checks)
     report = {
@@ -442,10 +427,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, rows, code = _DISPATCH[args.cmd](args)
+        # the envelope reads KHBM_BUDGET, which can be malformed
+        payload = _envelope(args, report)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, _envelope(args, report), rows if args.format == "csv" else None)
+    _emit(args, payload, rows if args.format == "csv" else None)
     return code
 
 

@@ -23,7 +23,6 @@ points of each closed-form piece are scanned as well for safety.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -83,20 +82,6 @@ class SymmetricAtoms:
     def zero_mass(self) -> float:
         return max(0.0, 1.0 - 2.0 * sum(t for _, t in self.atoms))
 
-    def to_dict(self) -> dict:
-        return {"atoms": [[a, t] for a, t in self.atoms]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymmetricAtoms":
-        return cls(tuple((a, t) for a, t in data["atoms"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricAtoms":
-        return cls.from_dict(json.loads(text))
-
 
 def rademacher() -> SymmetricAtoms:
     """The two-point law: +-1 with probability 1/2 each."""
@@ -130,6 +115,19 @@ def f_norms(f: SymmetricAtoms) -> tuple[float, float, float]:
     return (l1, f.atoms[0][0], 2.0 * float(f.masses.sum()))
 
 
+def _top_mass_integral(f: SymmetricAtoms, s: float) -> float:
+    # G(s): the integral of the s largest one-sided levels, splitting the
+    # boundary atom fractionally
+    remaining, weighted = s, 0.0
+    for a, t in f.atoms:
+        take = min(t, remaining)
+        weighted += a * take
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return weighted
+
+
 def superlevel_reduction(f: SymmetricAtoms, s: float) -> SymmetricAtoms:
     """Two-valued law carrying the top-s mass of f at its average level.
 
@@ -141,15 +139,7 @@ def superlevel_reduction(f: SymmetricAtoms, s: float) -> SymmetricAtoms:
     if not (0.0 < s <= total + _MASS_TOL):
         raise ValueError(f"target mass s = {s} outside (0, {total}]")
     s = min(s, total)
-    remaining = s
-    weighted = 0.0
-    for a, t in f.atoms:
-        take = min(t, remaining)
-        weighted += a * take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return SymmetricAtoms(((weighted / s, s),))
+    return SymmetricAtoms(((_top_mass_integral(f, s) / s, s),))
 
 
 def envelope_upper(f: SymmetricAtoms) -> SymmetricAtoms:
@@ -194,20 +184,9 @@ def theorem1_lower_constant(f: SymmetricAtoms, p: float, q: float) -> tuple[floa
     if not f.atoms:
         raise ValueError("lower constant of the zero law is undefined")
     beta = max(1.0 / p - 1.0, -0.5)
-
-    def g_at(s: float) -> float:
-        remaining, weighted = s, 0.0
-        for a, t in f.atoms:
-            take = min(t, remaining)
-            weighted += a * take
-            remaining -= take
-            if remaining <= 0.0:
-                break
-        return weighted
-
     best_val, best_s = -math.inf, None
     for s in _lower_objective_candidates(f, beta):
-        val = (2.0 * s) ** beta * 2.0 * g_at(s)
+        val = (2.0 * s) ** beta * 2.0 * _top_mass_integral(f, s)
         if val > best_val:
             best_val, best_s = val, s
     return (float(lower_constant(q) * best_val), float(best_s))

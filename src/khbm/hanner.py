@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import tolerances as tol
-from .functional import VectorTuple, _as_rows, _sign_matrix
+from .functional import VectorTuple, _as_rows, _check_dims, _sign_matrix
 from .norms import NormSpec, norm_eval_many
 
 __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", "falsify_hanner", "hlawka_check"]
@@ -79,8 +79,7 @@ def hanner_gap(norm: NormSpec, vectors, q: float, mode: Optional[str] = None) ->
     n = rows.shape[0]
     if n > _MAX_N:
         raise ValueError(f"sign enumeration supports n <= {_MAX_N}, got {n}")
-    if rows.shape[1] != norm.dim:
-        raise ValueError(f"vectors have dim {rows.shape[1]}, norm expects {norm.dim}")
+    _check_dims(rows, norm)
     signs = _half_signs(n)
     vec_norms = norm_eval_many(norm, rows)
     lhs = 2.0 * float((norm_eval_many(norm, signs @ rows) ** q).sum())

@@ -93,6 +93,15 @@ def _inv(r: float) -> float:
     return 0.0 if math.isinf(r) else 1.0 / r
 
 
+def _conj(r: float) -> float:
+    """Conjugate exponent r* with 1/r + 1/r* = 1: 1* = inf, inf* = 1."""
+    if r == 1.0:
+        return math.inf
+    if math.isinf(r):
+        return 1.0
+    return r / (r - 1.0)
+
+
 def _gauge_eval(spec: PolytopeGauge, x: np.ndarray) -> float:
     if not np.any(x):
         return 0.0
@@ -155,12 +164,7 @@ def dual_norm_spec(spec: NormSpec) -> NormSpec:
     """
     if isinstance(spec, PolytopeGauge):
         raise ValueError("dual norm of a PolytopeGauge is unsupported")
-    r = spec.r
-    if r == 1.0:
-        return LpNorm(math.inf, spec.dim)
-    if math.isinf(r):
-        return LpNorm(1.0, spec.dim)
-    return LpNorm(r / (r - 1.0), spec.dim)
+    return LpNorm(_conj(spec.r), spec.dim)
 
 
 @dataclass(frozen=True)

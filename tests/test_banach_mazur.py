@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khbm.banach_mazur import (
+    LowerBound,
+    TransformBound,
+    _consistent,
     corollary1_lower,
     default_transforms,
     hadamard_matrix,
@@ -202,6 +205,23 @@ def test_sandwich_nonrigorous_upper_excluded_from_consistency():
     assert rep.upper_bound is not None
     assert not rep.upper_bound.rigorous
     assert rep.consistent  # nothing rigorous to contradict
+
+
+def test_consistency_rule_checks_every_pair():
+    def lower(value, rigorous=True):
+        return LowerBound("m", value, value, None, rigorous)
+
+    def upper(value, rigorous=True):
+        return TransformBound(value, value, 1.0, rigorous, "t")
+
+    assert _consistent([], None, None)
+    assert not _consistent([lower(1.5)], 1.2, None)
+    assert not _consistent([lower(1.5)], None, upper(1.2))
+    assert not _consistent([lower(1.0)], 1.5, upper(1.2))
+    # non-rigorous members never contradict
+    assert _consistent([lower(1.5, rigorous=False)], 1.2, upper(0.5, rigorous=False))
+    # each neighbour pair is within the 1e-9 slack, the outer pair is not
+    assert not _consistent([lower(1.0 + 1.8e-9)], 1.0 + 0.9e-9, upper(1.0))
 
 
 def test_sandwich_float_outputs_are_json_safe():

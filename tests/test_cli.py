@@ -229,6 +229,23 @@ def test_budget_env_override_reflected(capsys, monkeypatch):
     assert json.loads(out)["budget"] == 555
 
 
+def test_bad_budget_env_is_usage_error(capsys, monkeypatch, vectors_csv):
+    # every subcommand's report envelope reads KHBM_BUDGET; a malformed
+    # value is an input error (exit 2), not a traceback with exit 1
+    runs = [
+        ["constants", "--p", "2"],
+        ["hanner", "--norm", "lp:2:2", "--q", "2", "--vectors", vectors_csv],
+        ["bm", "--pair", "1", "2", "2"],
+        ["acceptance", "--criterion", "1"],
+    ]
+    for raw in ("bogus", "0"):
+        monkeypatch.setenv("KHBM_BUDGET", raw)
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: KHBM_BUDGET must be"), argv
+
+
 def test_acceptance_single_criterion(capsys):
     code, out, _ = run_cli(capsys, "acceptance", "--criterion", "1", "--format", "csv")
     assert code == 0

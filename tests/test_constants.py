@@ -4,24 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khbm.constants import gamma, khinchine_constants, lower_constant, upper_constant
+from khbm.constants import khinchine_constants, lower_constant, upper_constant
 
 mpmath = pytest.importorskip("mpmath")
 
 
 def test_gamma_against_mpmath():
-    # independent high-precision oracle on a log-spaced grid
-    xs = [0.5 * 1.1**k for k in range(50) if 0.5 * 1.1**k <= 50.0]
-    xs += [0.5, 1.0, 1.5, 2.0, 25.0, 50.0]
-    for x in xs:
-        want = float(mpmath.gamma(x))
-        assert abs(gamma(x) - want) <= 1e-12 * want, x
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-def test_gamma_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        gamma(bad)
+    # independent high-precision oracle for sqrt(2) (Gamma((p+1)/2) / sqrt(pi))^(1/p)
+    # on a log-spaced grid of moment exponents
+    ps = [1.1**k for k in range(42)] + [1.5, 2.0, 3.0, 4.0, 10.0]
+    for p in ps:
+        pm = mpmath.mpf(p)
+        want = float(mpmath.sqrt(2) * (mpmath.gamma((pm + 1) / 2) / mpmath.sqrt(mpmath.pi)) ** (1 / pm))
+        assert abs(khinchine_constants(p).set_elements[2] - want) <= 1e-12 * want, p
 
 
 def test_p2_is_exactly_one():

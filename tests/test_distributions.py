@@ -37,12 +37,6 @@ def test_zero_mass_and_views():
     assert rademacher().zero_mass == 0.0
 
 
-def test_json_round_trip():
-    f = SymmetricAtoms(((1.5, 0.2), (0.5, 0.1)))
-    assert SymmetricAtoms.from_json(f.to_json()) == f
-    assert SymmetricAtoms.from_json(SymmetricAtoms(()).to_json()) == SymmetricAtoms(())
-
-
 def test_parse_atoms():
     assert parse_atoms("atoms:1,0.5") == rademacher()
     assert parse_atoms("atoms:2,0.25;1,0.125") == SymmetricAtoms(((2.0, 0.25), (1.0, 0.125)))
