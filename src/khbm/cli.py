@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import tolerances as tol
 from .acceptance import criterion_ids, run_criterion
-from .banach_mazur import BMBoundReport, _consistent, hadamard_matrix, sandwich_report
+from .banach_mazur import BMBoundReport, _check_sandwich_n, _consistent, hadamard_matrix, sandwich_report
 from .combinatorics import SubsetRatioInput, verify_lemma1
 from .constants import khinchine_constants
 from .distributions import l2_lower_constant, parse_atoms
@@ -261,6 +261,7 @@ def _run_bm(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
         n = int(args.pair[2])
     except ValueError as exc:
         raise UsageError(f"bad dimension {args.pair[2]!r}") from exc
+    _check_sandwich_n(n)  # before the transforms allocate n x n
     transforms = None if args.transforms is None else _parse_transforms(args.transforms, n)
     rep = _filter_report(sandwich_report(p, q, n, transforms=transforms, seed=args.seed), _METHOD_GROUPS[args.methods])
     known = "" if rep.known_exact is None else _fmt(rep.known_exact)

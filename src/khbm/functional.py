@@ -180,8 +180,9 @@ def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None
 @lru_cache(maxsize=32)
 def _sign_matrix(k: int) -> np.ndarray:
     idx = np.arange(1 << k, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(k)) & 1
-    return (2.0 * bits - 1.0).astype(float)
+    signs = 2.0 * ((idx[:, None] >> np.arange(k)) & 1) - 1.0
+    signs.flags.writeable = False  # cached and shared by every caller
+    return signs
 
 
 def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:

@@ -39,8 +39,6 @@ _BATCH = 256
 
 def _half_signs(n: int) -> np.ndarray:
     # all sign rows with the first coordinate fixed at +1
-    if n == 1:
-        return np.ones((1, 1))
     rest = _sign_matrix(n - 1)
     return np.hstack([np.ones((rest.shape[0], 1)), rest])
 
@@ -116,11 +114,11 @@ def falsify_hanner(
     if not q >= 1.0:
         raise ValueError(f"need q >= 1, got {q}")
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((trials, n, d))
     signs = _half_signs(n)
     for start in range(0, trials, _BATCH):
-        batch = draws[start : start + _BATCH]
-        b = batch.shape[0]
+        # per-batch draws continue the one-shot (trials, n, d) stream bitwise
+        b = min(_BATCH, trials - start)
+        batch = rng.standard_normal((b, n, d))
         sums = np.einsum("pn,bnd->bpd", signs, batch)
         lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
         vec_norms = norm_eval_many(norm, batch.reshape(-1, d)).reshape(b, n)

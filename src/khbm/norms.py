@@ -5,8 +5,8 @@ Two families are supported:
 * ``LpNorm(r, dim)`` -- the l^r norm, 1 <= r <= inf (inf is a distinct
   case, never a large float stand-in);
 * ``PolytopeGauge(vertices)`` -- the Minkowski functional of the convex
-  hull of a symmetric spanning vertex set, evaluated by linear
-  programming.
+  hull of a symmetric spanning vertex set, evaluated from its facet form
+  {x : A x <= 1} as max(A x); its dual is the gauge of the polar conv(A).
 
 Comparison constants between two norms A, B on the same space are the
 extreme values of the ratio ||x||_A / ||x||_B.  For l^r vs l^s they are
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "LpNorm",
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 _MAX_GAUGE_DIM = 8
+_GAUGE_BLOCK = 1 << 20  # (points x facets) entries per gauge block: 8 MB per temporary
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,13 @@ class LpNorm:
 class PolytopeGauge:
     """Minkowski functional of conv(vertices); vertices symmetric and spanning.
 
-    The gauge of x is min { sum(lam) : V^T lam = x, lam >= 0 }, a linear
-    program over the spanning symmetric vertex set.  Dimension is capped
-    at 8; this is a small-scale verification tool, not an LP benchmark.
+    The facet rows A of conv(vertices) = {x : A x <= 1} are computed once
+    by qhull, and the gauge of x is max(A x).  scipy is imported only here.
+    Dimension is capped at 8; this is a small-scale verification tool.
     """
 
     vertices: np.ndarray = field(repr=False)
+    facets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -80,6 +81,7 @@ class PolytopeGauge:
             if not np.any(np.all(np.isclose(v, -row, rtol=0, atol=1e-12), axis=1)):
                 raise ValueError("vertex set must be symmetric (closed under negation)")
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "facets", _facet_rows(v))
 
     @property
     def dim(self) -> int:
@@ -87,6 +89,17 @@ class PolytopeGauge:
 
 
 NormSpec = Union[LpNorm, PolytopeGauge]
+
+
+def _facet_rows(v: np.ndarray) -> np.ndarray:
+    if v.shape[1] == 1:  # qhull rejects 1-D input
+        return np.array([[1.0], [-1.0]]) / np.abs(v).max()
+    from scipy.spatial import ConvexHull
+
+    # the simplices of one triangulated facet share bitwise-equal equations
+    # n.x + c <= 0 (c < 0, the origin is interior), so np.unique keeps one
+    eq = np.unique(ConvexHull(v).equations, axis=0)
+    return eq[:, :-1] / -eq[:, -1:]
 
 
 def _inv(r: float) -> float:
@@ -102,22 +115,6 @@ def _conj(r: float) -> float:
     return r / (r - 1.0)
 
 
-def _gauge_eval(spec: PolytopeGauge, x: np.ndarray) -> float:
-    if not np.any(x):
-        return 0.0
-    m = spec.vertices.shape[0]
-    res = linprog(
-        c=np.ones(m),
-        A_eq=spec.vertices.T,
-        b_eq=x,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError(f"gauge LP failed: {res.message}")
-    return float(res.fun)
-
-
 def norm_eval(spec: NormSpec, x) -> float:
     """Evaluate the norm at a single point."""
     x = np.asarray(x, dtype=float)
@@ -125,9 +122,7 @@ def norm_eval(spec: NormSpec, x) -> float:
         raise ValueError(f"point has shape {x.shape}, expected ({spec.dim},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("point must be finite")
-    if isinstance(spec, LpNorm):
-        return float(_lp_many(spec, x[None, :])[0])
-    return _gauge_eval(spec, x)
+    return float(norm_eval_many(spec, x[None, :])[0])
 
 
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
@@ -153,17 +148,26 @@ def norm_eval_many(spec: NormSpec, pts: np.ndarray) -> np.ndarray:
     if isinstance(spec, LpNorm):
         return _lp_many(spec, pts)
     flat = pts.reshape(-1, spec.dim)
-    return np.array([_gauge_eval(spec, row) for row in flat]).reshape(pts.shape[:-1])
+    out = np.empty(flat.shape[0])
+    step = max(1, _GAUGE_BLOCK // spec.facets.shape[0])
+    for i in range(0, flat.shape[0], step):
+        # max(pts @ A.T), summed left to right: BLAS rounds a point by how many share its call
+        block = flat[i : i + step]
+        out[i : i + step] = sum(block[:, j, None] * spec.facets[:, j] for j in range(spec.dim)).max(axis=1)
+    return out.reshape(pts.shape[:-1])
 
 
 def dual_norm_spec(spec: NormSpec) -> NormSpec:
     """Dual norm: l^r -> l^(r*), with 1* = inf and inf* = 1.
 
-    Dual of a PolytopeGauge (the polar gauge) is not provided; callers
-    that need it must supply the polar vertex set themselves.
+    A PolytopeGauge conv(V) = {x : A x <= 1} maps to its polar conv(A) =
+    {y : V y <= 1} by swapping V and A: no second hull, an exact double dual.
     """
     if isinstance(spec, PolytopeGauge):
-        raise ValueError("dual norm of a PolytopeGauge is unsupported")
+        polar = object.__new__(PolytopeGauge)
+        object.__setattr__(polar, "vertices", spec.facets)
+        object.__setattr__(polar, "facets", spec.vertices)
+        return polar
     return LpNorm(_conj(spec.r), spec.dim)
 
 

@@ -74,12 +74,16 @@ def test_prop4_cases():
     assert r2.value >= 1.0
 
 
-def test_prop4_no_applicable_case():
-    eye = np.eye(2)
-    gauge = PolytopeGauge(np.vstack([eye, -eye]))
-    # p < 2 needs the dual norm, which gauges do not expose
-    with pytest.raises(ValueError):
-        prop4_lower(1.5, gauge, 2)
+def test_prop4_polytope_uses_polar():
+    # p < 2 reduces to the dual norm; the polar of the diamond is the square,
+    # whose sampled comparison extremes sit on the axes and the all-ones vector
+    for n in (2, 3):
+        eye = np.eye(n)
+        got = prop4_lower(1.5, PolytopeGauge(np.vstack([eye, -eye])), n)
+        want = prop4_lower(1.5, LpNorm(1.0, n), n)
+        assert got.case == want.case == "dual-general"
+        assert not got.rigorous
+        assert abs(got.raw - want.raw) <= 1e-12 * want.raw
 
 
 def test_known_distance_table():

@@ -133,6 +133,15 @@ def test_bm_bad_dimension(capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--transforms", "identity")])
+def test_bm_dimension_cap(capsys, extra):
+    # refused before any n x n table is built
+    code, out, err = run_cli(capsys, "bm", "--pair", "1", "2", "2049", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "n <= 2048" in err
+
+
 def test_bm_diag_transform(capsys, tmp_path):
     diag = tmp_path / "d.csv"
     diag.write_text("1\n1\n1\n")

@@ -16,6 +16,7 @@ from khbm.functional import (
     ipf_exact,
     ipf_monte_carlo,
     ipf_two_valued_exact,
+    _sign_matrix,
     verify_theorem1,
 )
 from khbm.norms import LpNorm, norm_eval
@@ -84,6 +85,16 @@ def test_two_valued_route_matches_exact():
             a = ipf_exact(v, SymmetricAtoms(((1.0, t),)), p, LpNorm(1.0, 2))
             b = ipf_two_valued_exact(v, t, p, LpNorm(1.0, 2))
             assert abs(a.pth_power - b.pth_power) <= 1e-12 * max(a.pth_power, b.pth_power)
+
+
+def test_sign_matrix_is_read_only():
+    # the cached table is shared by ipf_two_valued_exact, hanner and banach_mazur
+    signs = _sign_matrix(3)
+    with pytest.raises(ValueError):
+        signs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        signs *= -1.0
+    assert _sign_matrix(3)[0, 0] == -1.0
 
 
 def test_two_valued_validation():

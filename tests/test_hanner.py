@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,34 @@ def test_falsifier_deterministic():
     assert a is not None and b is not None
     assert a.trial_index == b.trial_index
     assert np.array_equal(a.witness.rows, b.witness.rows)
+
+
+def test_falsifier_pinned_witness():
+    # first violation lies in the third batch of draws, so the pinned
+    # values also fix how the gaussian stream is split into batches
+    hit = falsify_hanner(LpNorm(3.0, 2), q=1.2, n=3, d=2, mode="cotype", trials=3000, seed=11)
+    assert hit is not None
+    assert hit.trial_index == 550
+    assert hit.violation == 0.0008497441624238518
+    assert hit.gap == -0.02372862978455359
+    want = [
+        ["-0x1.4495d6fa8a4bfp-4", "0x1.9842b5447fe5bp-3"],
+        ["-0x1.eeaf4b3d4a99ep-1", "0x1.ea678f170e55bp-6"],
+        ["-0x1.1e4a75e9f6276p-3", "-0x1.951f0a0d6fc23p-8"],
+    ]
+    assert hit.witness.rows.tolist() == [[float.fromhex(x) for x in row] for row in want]
+
+
+def test_falsifier_memory_is_per_batch():
+    # 200,000 trials of 4 x 4 draws are 25.6 MB if drawn at once
+    tracemalloc.start()
+    try:
+        hit = falsify_hanner(LpNorm(2.0, 4), q=2.0, n=4, d=4, mode="type", trials=200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is None
+    assert peak < 4_000_000
 
 
 def test_falsifier_quiet_on_consistent_claims():

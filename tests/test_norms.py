@@ -1,8 +1,12 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from khbm import norms
 from khbm.norms import (
     ComparisonConstants,
     LpNorm,
@@ -71,6 +75,53 @@ def test_gauge_matches_linf_on_cube():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def lp_gauge(vertices, x):
+    """Oracle: min { sum(lam) : V^T lam = x, lam >= 0 }, one LP per point."""
+    from scipy.optimize import linprog
+
+    if not np.any(x):
+        return 0.0
+    res = linprog(np.ones(len(vertices)), A_eq=vertices.T, b_eq=x, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def random_body(rng, m, d):
+    half = rng.standard_normal((m, d))
+    return np.vstack([half, -half])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_facet_gauge_matches_lp(d):
+    rng = np.random.default_rng(40 + d)
+    for m in (d, d + 3, 12):
+        verts = random_body(rng, m, d)
+        g = PolytopeGauge(verts)
+        pts = rng.standard_normal((25, d))
+        got = norm_eval_many(g, pts)
+        want = np.array([lp_gauge(verts, x) for x in pts])
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+def test_facet_rows_one_per_facet():
+    cube = PolytopeGauge(np.array(list(itertools.product((-1.0, 1.0), repeat=8))))
+    assert cube.facets.shape == (16, 8)
+    assert crosspolytope(8).facets.shape == (256, 8)
+
+
+def test_gauge_blocks_agree_with_one_block(monkeypatch):
+    rng = np.random.default_rng(6)
+    g = PolytopeGauge(random_body(rng, 9, 3))
+    pts = rng.standard_normal((4, 25, 3))
+    whole = norm_eval_many(g, pts)
+    # 7 entries hold fewer than one point's facets: one point per block
+    monkeypatch.setattr(norms, "_GAUGE_BLOCK", 7)
+    assert np.array_equal(norm_eval_many(g, pts), whole)
+    monkeypatch.setattr(norms, "_GAUGE_BLOCK", 3 * g.facets.shape[0])
+    assert np.array_equal(norm_eval_many(g, pts), whole)
+    assert whole.shape == (4, 25)
+
+
 def test_gauge_rejects_asymmetric_vertices():
     with pytest.raises(ValueError):
         PolytopeGauge(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
@@ -91,8 +142,40 @@ def test_dual_spec():
     assert dual_norm_spec(LpNorm(1.0, 3)) == LpNorm(math.inf, 3)
     assert dual_norm_spec(LpNorm(math.inf, 3)) == LpNorm(1.0, 3)
     assert dual_norm_spec(LpNorm(3.0, 2)) == LpNorm(1.5, 2)
-    with pytest.raises(ValueError):
-        dual_norm_spec(crosspolytope(2))
+    # the polar of the cross-polytope is the cube
+    dual = dual_norm_spec(crosspolytope(3))
+    assert isinstance(dual, PolytopeGauge)
+    pts = np.random.default_rng(7).standard_normal((50, 3))
+    assert np.array_equal(norm_eval_many(dual, pts), np.abs(pts).max(axis=1))
+
+
+def test_double_polar_is_the_body():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 4):
+        g = PolytopeGauge(random_body(rng, d + 4, d))
+        pts = rng.standard_normal((50, d))
+        want = norm_eval_many(g, pts)
+        assert np.array_equal(norm_eval_many(dual_norm_spec(dual_norm_spec(g)), pts), want)
+        # the dual norm is the support function of the vertex set, and a
+        # hull of the polar's vertices gives the same gauge
+        polar = dual_norm_spec(g)
+        dual = norm_eval_many(polar, pts)
+        assert np.max(np.abs(dual - (pts @ g.vertices.T).max(axis=1)) / dual) < 1e-12
+        rebuilt = norm_eval_many(PolytopeGauge(polar.vertices), pts)
+        assert np.max(np.abs(rebuilt - dual) / dual) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import khbm",
+        "from khbm.cli import main; assert main(['constants', '--p', '3']) == 0",
+    ],
+)
+def test_lp_paths_do_not_import_scipy(code):
+    check = f"import sys; {code}; assert 'scipy' not in sys.modules, 'scipy imported'"
+    res = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_lp_comparison_closed_forms():
