@@ -35,14 +35,13 @@ from . import tolerances as tol
 from .constants import lower_constant
 from .functional import _sign_matrix
 from .norms import (
-    ComparisonConstants,
     LpNorm,
     NormSpec,
     PolytopeGauge,
+    _comparison_points,
     _conj,
     _inv,
     dual_norm_spec,
-    estimate_comparison,
     lp_comparison,
     norm_eval_many,
 )
@@ -79,12 +78,28 @@ class LowerBound:
     note: str = ""
 
 
-def _comparison(a: NormSpec, b: NormSpec, trials: int, seed: int) -> ComparisonConstants:
-    if isinstance(a, LpNorm) and isinstance(b, LpNorm):
-        if a.dim != b.dim:
-            raise ValueError("dimension mismatch")
-        return lp_comparison(a.r, b.r, a.dim)
-    return estimate_comparison(a, b, trials, seed)
+def _lower_comparisons(
+    L: NormSpec, trials: int, seed: int
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """p -> inf ||x||_L / ||x||_p and p -> inf ||x||_p / ||x||_L.
+
+    Exact for an l^r norm.  Otherwise the values are those of
+    ``estimate_comparison`` with the same (trials, seed): the sample and its
+    norms under L are computed once per call, only the l^p side per exponent.
+    """
+    n = L.dim
+    if isinstance(L, LpNorm):
+        return (lambda p: lp_comparison(L.r, p, n).lower), (lambda p: lp_comparison(p, L.r, n).lower)
+    pts = _comparison_points(n, trials, seed)
+    body = norm_eval_many(L, pts)
+
+    def to_lp(p: float) -> float:
+        return float((body / norm_eval_many(LpNorm(p, n), pts)).min())
+
+    def from_lp(p: float) -> float:
+        return float((norm_eval_many(LpNorm(p, n), pts) / body).min())
+
+    return to_lp, from_lp
 
 
 def _optimize_exponent(
@@ -128,11 +143,11 @@ def theorem2_general_lower(L: NormSpec, n: int, trials: int = 2048, seed: int = 
     """Lower bound for d(cube, L) from the general moment inequality."""
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
-    one_factor = _comparison(LpNorm(1.0, n), L, trials, seed).lower
+    to_lp, from_lp = _lower_comparisons(L, trials, seed)
+    one_factor = from_lp(1.0)
 
     def objective(p: float) -> float:
-        comp = _comparison(L, LpNorm(p, n), trials, seed).lower
-        return comp * one_factor * lower_constant(p) * float(n) ** (_inv(p) - 0.5)
+        return to_lp(p) * one_factor * lower_constant(p) * float(n) ** (_inv(p) - 0.5)
 
     raw, witness = _optimize_exponent(
         objective, 1.0, _P_HI, extras=(1.0, 2.0) + ((L.r,) if isinstance(L, LpNorm) and not math.isinf(L.r) else ())
@@ -151,10 +166,10 @@ def theorem2_cotype_lower(L: NormSpec, q: float, n: int, trials: int = 2048, see
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
 
+    to_lp, from_lp = _lower_comparisons(L, trials, seed)
+
     def objective(p: float) -> float:
-        fwd = _comparison(L, LpNorm(p, n), trials, seed).lower
-        bwd = _comparison(LpNorm(p, n), L, trials, seed).lower
-        return lower_constant(q) * fwd * bwd * math.sqrt(n)
+        return lower_constant(q) * to_lp(p) * from_lp(p) * math.sqrt(n)
 
     extras = (q, 2.0) + ((L.r,) if isinstance(L, LpNorm) and not math.isinf(L.r) else ())
     raw, witness = _optimize_exponent(objective, q, _P_HI, extras=extras)

@@ -10,6 +10,10 @@ For nonnegative x_1..x_n, 1 <= k <= n and alpha >= 0:
 Both ends are attained: x = (1, 0, ..., 0) gives k/n (for alpha > 0)
 and x = (1, ..., 1) gives (k/n)^alpha.  The convention 0^0 = 1 is used
 throughout, so at alpha = 0 the ratio is exactly 1.
+
+The numerator is enumerated exactly, by splitting x in two halves and
+combining their subset sums by size (Horowitz & Sahni, J. ACM 21, 1974);
+the subset index tables are cached and read-only.
 """
 
 from __future__ import annotations
@@ -17,17 +21,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from . import tolerances as tol
-from .functional import EnumerationBudgetError, default_budget
+from .functional import EnumerationBudgetError, _block_rows, _check_floats, default_budget
 
 __all__ = ["SubsetRatioInput", "Lemma1Report", "subset_power_ratio", "lemma1_bounds", "verify_lemma1"]
 
 _MAX_N = 24
-_CHUNK_ROWS = 1 << 16
+_SPLIT_N = 12  # up to here one table of all k-subsets beats two halves (crossover near n = 14)
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,26 @@ class SubsetRatioInput:
         object.__setattr__(self, "x", x)
 
 
+@lru_cache(maxsize=128)
+def _subset_rows(m: int, j: int) -> np.ndarray:
+    # the j-subsets of range(m), one per row; cached and read-only
+    rows = np.array(list(combinations(range(m), j)), dtype=np.intp).reshape(math.comb(m, j), j)
+    rows.flags.writeable = False
+    return rows
+
+
 def subset_power_ratio(inp: SubsetRatioInput, budget: int | None = None) -> float:
-    """Exact ratio by enumerating all C(n, k) subsets in chunks."""
+    """Exact ratio by meet-in-the-middle over the two halves of x.
+
+    A k-subset is a j-subset of the first h entries joined with a
+    (k-j)-subset of the rest, so the numerator is
+    sum_j sum (outer(A_j, B_(k-j)))^alpha over the subset sums A_j and
+    B_(k-j) of the two halves.  One row of A_j against all of B_(k-j) is a
+    unit; units fill blocks of at most ``_CHUNK`` terms and their totals
+    are combined with ``math.fsum``, so the result does not depend on the
+    block size.  For n <= ``_SPLIT_N`` the first half is empty and one
+    unit holds all C(n, k) subset sums.
+    """
     budget = default_budget() if budget is None else budget
     n, k = len(inp.x), inp.k
     count = math.comb(n, k)
@@ -73,18 +96,20 @@ def subset_power_ratio(inp: SubsetRatioInput, budget: int | None = None) -> floa
         # the ratio is scale-free, so divide through by the total instead
         x = x / total
         denom = float(count)
-    it = combinations(range(n), k)
-    chunk_totals = []
-    while True:
-        flat = np.fromiter(
-            (i for subset in islice(it, _CHUNK_ROWS) for i in subset), dtype=np.intp
-        )
-        if flat.size == 0:
-            break
-        sums = x[flat.reshape(-1, k)].sum(axis=1)
-        chunk_totals.append(float((sums**inp.alpha).sum()))
-    numerator = math.fsum(chunk_totals)
-    return numerator / denom
+    h = n // 2 if n > _SPLIT_N else 0
+    halves = [(_subset_rows(h, j), _subset_rows(n - h, k - j)) for j in range(max(0, k - n + h), min(k, h) + 1)]
+    _check_floats(
+        max(len(a) + len(b) + _block_rows(len(a), len(b)) * len(b) for a, b in halves),
+        budget,
+        "the half subset sums and the largest block",
+    )
+    unit_totals = []
+    for rows_a, rows_b in halves:
+        sums_a, sums_b = x[:h][rows_a].sum(axis=1), x[h:][rows_b].sum(axis=1)
+        step = _block_rows(len(sums_a), len(sums_b))
+        for i in range(0, len(sums_a), step):
+            unit_totals.append(((sums_a[i : i + step, None] + sums_b) ** inp.alpha).sum(axis=1))
+    return math.fsum(np.concatenate(unit_totals).tolist()) / denom
 
 
 def lemma1_bounds(n: int, k: int, alpha: float) -> tuple[float, float]:

@@ -7,8 +7,14 @@ For vectors v = (v_1, ..., v_n) in a normed space and an odd step law f,
 where the c_i are i.i.d. draws from the law of f.  Three computation
 routes are provided:
 
-* ``ipf_exact`` -- full enumeration of the (2m+1)^n weighted support
-  assignments (zero-probability branches pruned);
+* ``ipf_exact`` -- exact enumeration of the (2m+1)^n weighted support
+  assignments (zero-probability branches pruned) by a meet-in-the-middle
+  kernel: the partial sums and weights of the first half of the
+  coordinates and of the rest are tabulated once, and every assignment is
+  one entry of their broadcast outer sum.  The law is symmetric, so the
+  first coordinate runs over 0 and the positive levels only and a term
+  with a nonzero first value counts twice (Horowitz & Sahni, J. ACM 21,
+  1974);
 * ``ipf_two_valued_exact`` -- independent subset/sign expansion for
   two-valued laws {(1, t)}:
       I_p^p = sum_{k=1}^n t^k (1-2t)^(n-k)
@@ -16,8 +22,17 @@ routes are provided:
 * ``ipf_monte_carlo`` -- seeded sampling with a counter-based generator
   (Philox), reporting the standard error of the p-th power mean.
 
-Enumeration totals are accumulated per fixed-size chunk and combined
-with exact summation, so results do not depend on internal partitioning.
+The kernel's unit of work is one row of the first table against the
+whole second table.  Units are grouped into blocks of at most ``_CHUNK``
+terms (a larger unit is a block of its own), so temporaries stay at a
+few MB; each unit keeps its largest norm M_i and
+sum_j w_j (||s_j||/M_i)^p, and the pairs are rescaled to the overall
+largest norm and combined with ``math.fsum``.  Results therefore do not
+depend on the block size, and no norm is raised to the power p before
+it is scaled, so large p cannot overflow (see ``IpResult``).  The half
+tables and the largest block are counted, in float64 values, against the
+same budget as the terms.  ``hanner.hanner_gap`` uses the same kernel
+for its sign sums.
 """
 
 from __future__ import annotations
@@ -62,7 +77,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
-_CHUNK = 1 << 15  # fixed so that enumeration totals are reproducible
+_CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
+_TINY = math.ulp(0.0)  # the least positive double
 
 
 class EnumerationBudgetError(ValueError):
@@ -93,7 +109,7 @@ class VectorTuple:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValueError(f"rows must be a nonempty (n, d) array, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise ValueError("vector entries must be finite")
         object.__setattr__(self, "rows", rows)
 
@@ -114,6 +130,16 @@ def _as_rows(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IpResult:
+    """I_p(v, f), its p-th power, and how it was obtained.
+
+    The largest norm M is factored out before raising to the power p:
+    ``value`` = M (sum w (||s||/M)^p)^(1/p) is finite for every p, and
+    ``pth_power`` = M^p sum w (||s||/M)^p overflows to inf only when M^p
+    itself exceeds the double range.  ``stderr`` (Monte Carlo only) is the
+    standard error of ``pth_power``, scaled the same way.
+    ``terms_evaluated`` counts the support assignments (or samples) covered.
+    """
+
     value: float
     pth_power: float
     method: str
@@ -123,7 +149,7 @@ class IpResult:
 
 def _law_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
     # support values and weights, with the zero atom dropped when its
-    # probability is exactly zero
+    # probability is exactly zero; Monte Carlo draws indices in this order
     values, weights = [], []
     w0 = f.zero_mass
     if w0 > 0.0 or not f.atoms:
@@ -135,28 +161,124 @@ def _law_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(weights)
 
 
+@lru_cache(maxsize=256)
+def _sorted_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
+    # the support in ascending order (levels decrease), so each value sits
+    # at index i and its negation at k-1-i, as the kernel's sign fold needs
+    levels, masses = [a for a, _ in f.atoms], [t for _, t in f.atoms]
+    w0 = f.zero_mass
+    zero = [w0 if f.atoms else 1.0] if w0 > 0.0 or not f.atoms else []
+    values = np.array([-a for a in levels] + [0.0] * len(zero) + levels[::-1])
+    weights = np.array(masses + zero + masses[::-1])
+    values.flags.writeable = False  # cached and shared by every caller
+    weights.flags.writeable = False
+    return values, weights
+
+
 def _check_dims(rows: np.ndarray, norm: NormSpec):
     if rows.shape[1] != norm.dim:
         raise ValueError(f"vectors have dim {rows.shape[1]}, norm expects {norm.dim}")
 
 
+def _block_rows(units: int, unit_len: int) -> int:
+    # whole units per block, so per-unit totals never depend on _CHUNK
+    return min(units, max(1, _CHUNK // max(unit_len, 1)))
+
+
+def _check_floats(floats: int, budget: int, what: str) -> None:
+    # memory is counted in float64 values against the same budget as terms
+    if floats > budget:
+        raise EnumerationBudgetError(f"{what} need {floats} floats, exceeding budget {budget}")
+
+
+@lru_cache(maxsize=64)
+def _half_table(k: int, m: int, folded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Support indices of every assignment to m coordinates, and its multiplicity.
+
+    The support is ascending, so index i and k-1-i are negations; the
+    first coordinate varies slowest.  ``folded`` restricts the first
+    coordinate to 0 and the positive levels (indices >= k // 2); such a
+    row stands for itself and its negation, multiplicity 2, unless its
+    first value is 0.  Cached and read-only.
+    """
+    lo = k // 2 if folded else 0
+    digits = np.indices((k - lo,) + (k,) * (m - 1)).reshape(m, -1).T.copy() if m else np.zeros((1, 0), np.intp)
+    mult = np.ones(len(digits))
+    if folded:
+        digits[:, 0] += lo
+        mult[(digits[:, 0] != lo) | (k % 2 == 0)] = 2.0
+    digits.flags.writeable = False  # cached and shared by every caller
+    mult.flags.writeable = False
+    return digits, mult
+
+
+def _scaled_powers(x: np.ndarray, w: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    # per row: the largest entry M and sum_j w_j (x_j / M)^p, with 0 for a zero row
+    top = x.max(axis=-1, keepdims=True, initial=_TINY)  # a zero row gives 0 / _TINY = 0
+    t = x / top
+    np.power(t, p, out=t)
+    t *= w
+    return top[..., 0], t.sum(axis=-1)
+
+
+def _fold(tops: list[float], sums: list[float], p: float) -> tuple[float, float]:
+    """Combine per-unit pairs (M_i, S_i) into (M, S) with M^p S = sum_i M_i^p S_i.
+
+    Each S_i is rescaled to the largest M_i before an exact ``math.fsum``,
+    so no M_i^p is formed and the result does not depend on how units were
+    grouped into blocks.
+    """
+    peak = max(tops, default=0.0)
+    if peak == 0.0:
+        return 0.0, 0.0
+    return peak, math.fsum(s * (t / peak) ** p for t, s in zip(tops, sums))
+
+
+def _pth_and_value(peak: float, scaled: float, p: float) -> tuple[float, float]:
+    # M^p S overflows only when M^p itself does; M S^(1/p) never does
+    if peak == 0.0 or scaled == 0.0:
+        return 0.0, 0.0
+    if peak == math.inf:  # a vector sum itself left the double range
+        return math.inf, math.inf
+    try:
+        pth = peak**p * scaled
+    except OverflowError:
+        pth = math.inf
+    return pth, peak * scaled ** (1.0 / p)
+
+
 def _enumerate_pth_power(
-    rows: np.ndarray, values: np.ndarray, weights: np.ndarray, p: float, norm: NormSpec
-) -> tuple[float, int]:
-    n = rows.shape[0]
-    k = len(values)
-    terms = k**n
-    chunk_totals = []
-    radix = k ** np.arange(n, dtype=np.int64)
-    for start in range(0, terms, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, terms), dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % k
-        coeffs = values[digits]  # (chunk, n)
-        sums = coeffs @ rows  # (chunk, d)
-        norms = norm_eval_many(norm, sums)
-        w = weights[digits].prod(axis=1)
-        chunk_totals.append(float(np.dot(w, norms**p)))
-    return math.fsum(chunk_totals), terms
+    rows: np.ndarray, values: np.ndarray, weights: np.ndarray, p: float, norm: NormSpec, budget: int | None = None
+) -> tuple[float, float, int]:
+    """Meet-in-the-middle sum over all k^n support assignments of w ||sum c_i v_i||^p.
+
+    Returns (M, S, k^n) with sum = M^p S, M the largest norm.  The first
+    h coordinates and the rest are enumerated once each as half tables of
+    partial sums and weights; a unit is one row of the first table against
+    the whole second table, evaluated by a broadcast outer sum.  The law is
+    symmetric, so the first coordinate runs over {0} and the positive
+    levels only and a nonzero first value counts twice (c and -c have
+    equal weights and norms).  ``values`` must be sorted, ascending or
+    (for a negated support) descending.
+    """
+    budget = default_budget() if budget is None else budget
+    n, d, k = rows.shape[0], rows.shape[1], len(values)
+    if values[0] > values[-1]:  # a negated support: reversed, it is the same array
+        values, weights = values[::-1], weights[::-1]
+    h = max(1, n // 2)
+    units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
+    step = _block_rows(units, unit_len)
+    _check_floats((units + unit_len + step * unit_len) * d, budget, "the half tables and the largest block")
+    digits_a, mult = _half_table(k, h, True)
+    digits_b, _ = _half_table(k, n - h, False)
+    sums_a, sums_b = values[digits_a] @ rows[:h], values[digits_b] @ rows[h:]
+    w_a, w_b = weights[digits_a].prod(axis=1) * mult, weights[digits_b].prod(axis=1)
+    tops, sums = [], []
+    for i in range(0, units, step):
+        top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[i : i + step, None, :] + sums_b), w_b, p)
+        tops += top.tolist()
+        sums += (w_a[i : i + step] * scaled).tolist()
+    return (*_fold(tops, sums, p), k**n)
 
 
 def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
@@ -166,15 +288,16 @@ def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None
     rows = _as_rows(v)
     _check_dims(rows, norm)
     budget = default_budget() if budget is None else budget
-    values, weights = _law_support(f)
+    values, weights = _sorted_support(f)
     k, n = len(values), rows.shape[0]
     if k**n > budget:
         raise EnumerationBudgetError(
             f"{k}^{n} = {k**n} weighted terms exceed budget {budget}; "
             "use ipf_monte_carlo instead"
         )
-    pth, terms = _enumerate_pth_power(rows, values, weights, p, norm)
-    return IpResult(value=pth ** (1.0 / p), pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
+    peak, scaled, terms = _enumerate_pth_power(rows, values, weights, p, norm, budget)
+    pth, value = _pth_and_value(peak, scaled, p)
+    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
 @lru_cache(maxsize=32)
@@ -208,22 +331,21 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
             f"subset expansion needs up to {bound} terms, exceeding budget {budget}; "
             "use ipf_monte_carlo instead"
         )
-    contributions = []
+    tops, sums = [], []
     terms = 0
     for k in range(1, n + 1):
         coef = t**k * w0 ** (n - k)
         if coef == 0.0:
             continue
         signs = _sign_matrix(k)
-        subset_totals = []
         for subset in combinations(range(n), k):
-            sums = signs @ rows[list(subset)]
-            norms = norm_eval_many(norm, sums)
-            subset_totals.append(float((norms**p).sum()))
+            norms = norm_eval_many(norm, signs @ rows[list(subset)])
+            top = float(norms.max())
+            tops.append(top)
+            sums.append(coef * float(((norms / max(top, _TINY)) ** p).sum()))
             terms += signs.shape[0]
-        contributions.append(coef * math.fsum(subset_totals))
-    pth = math.fsum(contributions)
-    return IpResult(value=pth ** (1.0 / p), pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
+    pth, value = _pth_and_value(*_fold(tops, sums, p), p)
+    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
 def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int, seed: int) -> IpResult:
@@ -241,13 +363,12 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     values, weights = _law_support(f)
     rng = np.random.Generator(np.random.Philox(seed))
     idx = rng.choice(len(values), size=(samples, rows.shape[0]), p=weights)
-    sums = values[idx] @ rows
-    powers = norm_eval_many(norm, sums) ** p
-    mean = float(powers.mean())
-    stderr = float(powers.std(ddof=1) / math.sqrt(samples))
-    return IpResult(
-        value=mean ** (1.0 / p), pth_power=mean, method="monte_carlo", stderr=stderr, terms_evaluated=samples
-    )
+    norms = norm_eval_many(norm, values[idx] @ rows)
+    peak = float(norms.max())
+    scaled = (norms / peak) ** p if peak > 0.0 else norms
+    mean, value = _pth_and_value(peak, float(scaled.mean()), p)
+    stderr, _ = _pth_and_value(peak, float(scaled.std(ddof=1) / math.sqrt(samples)), p)
+    return IpResult(value=value, pth_power=mean, method="monte_carlo", stderr=stderr, terms_evaluated=samples)
 
 
 @dataclass(frozen=True)
@@ -415,9 +536,8 @@ def check_argument_norm_axioms(
         scale = max(scaled, k * base, 1e-300)
         hom_err = max(hom_err, abs(scaled - k * base) / scale)
         # negating every support value leaves the law invariant
-        values, weights = _law_support(f)
-        neg_pth, _ = _enumerate_pth_power(rows, -values, weights, p, norm)
-        neg = neg_pth ** (1.0 / p)
+        values, weights = _sorted_support(f)
+        _, neg = _pth_and_value(*_enumerate_pth_power(rows, -values, weights, p, norm)[:2], p)
         even_err = max(even_err, abs(neg - base) / max(base, 1e-300))
         min_pos = min(min_pos, base)
         if not (

@@ -13,28 +13,39 @@ tuples for a violation of a claimed mode.  The three-vector inequality
 
 is checked by ``hlawka_check``; norms satisfying it have cotype (1, 3).
 
-Both sides of the sign sum are invariant under negating all signs, so
-enumeration fixes eps_1 = +1 and doubles the half sum.  Each mirrored
-term is bitwise equal to its partner (negation and absolute value are
-exact), so the doubling is exact as well.
+The lhs is 2^n I_q(x, Rademacher)^q and the rhs the same sum on the real
+line over the norms ||x_i||, so ``hanner_gap`` evaluates both with the
+enumeration kernel of ``functional.ipf_exact`` (meet-in-the-middle
+tables, bounded blocks, the largest term factored out).  Both sides are
+invariant under negating all signs, so enumeration fixes eps_1 = +1 and
+doubles the half sum, here and in ``falsify_hanner``.  Each mirrored term
+is bitwise equal to its partner (negation and absolute value are exact),
+so the doubling is exact as well.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tolerances as tol
-from .functional import VectorTuple, _as_rows, _check_dims, _sign_matrix
-from .norms import NormSpec, norm_eval_many
+from .functional import VectorTuple, _as_rows, _check_dims, _enumerate_pth_power, _pth_and_value, _sign_matrix
+from .norms import LpNorm, NormSpec, norm_eval_many
 
 __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", "falsify_hanner", "hlawka_check"]
 
 _MAX_N = 20
 _BATCH = 256
+_SIGNS, _HALVES = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+_ABS = LpNorm(1.0, 1)  # |t| on the real line
+
+
+def _sign_sum(rows: np.ndarray, q: float, norm: NormSpec) -> float:
+    # sum over all 2^n sign vectors = 2^n I_q(rows, Rademacher)^q
+    peak, scaled, _ = _enumerate_pth_power(rows, _SIGNS, _HALVES, q, norm)
+    return _pth_and_value(peak, scaled, q)[0] * 2.0 ** rows.shape[0]
 
 
 def _half_signs(n: int) -> np.ndarray:
@@ -78,10 +89,8 @@ def hanner_gap(norm: NormSpec, vectors, q: float, mode: Optional[str] = None) ->
     if n > _MAX_N:
         raise ValueError(f"sign enumeration supports n <= {_MAX_N}, got {n}")
     _check_dims(rows, norm)
-    signs = _half_signs(n)
-    vec_norms = norm_eval_many(norm, rows)
-    lhs = 2.0 * float((norm_eval_many(norm, signs @ rows) ** q).sum())
-    rhs = 2.0 * float((np.abs(signs @ vec_norms) ** q).sum())
+    lhs = _sign_sum(rows, q, norm)
+    rhs = _sign_sum(norm_eval_many(norm, rows)[:, None], q, _ABS)
     gap = lhs - rhs
     return HannerReport(q=q, n=n, lhs=lhs, rhs=rhs, gap=gap, verdict=_verdict(gap, lhs, rhs, mode))
 

@@ -197,6 +197,19 @@ def lp_comparison(r: float, s: float, d: int) -> ComparisonConstants:
     return ComparisonConstants(lower=1.0 / float(d) ** (-e), upper=1.0, rigorous=True)
 
 
+def _comparison_points(d: int, trials: int, seed: int) -> np.ndarray:
+    # the coordinate axes, the all-ones direction and `trials` gaussian draws
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    pts = [np.eye(d), np.ones((1, d))]
+    g = rng.standard_normal((trials, d))
+    g = g[np.max(np.abs(g), axis=1) > 1e-12]
+    if g.size:
+        pts.append(g)
+    return np.vstack(pts)
+
+
 def estimate_comparison(a: NormSpec, b: NormSpec, trials: int, seed: int) -> ComparisonConstants:
     """Sampled bounds on ||x||_a / ||x||_b; always flagged non-rigorous.
 
@@ -205,16 +218,7 @@ def estimate_comparison(a: NormSpec, b: NormSpec, trials: int, seed: int) -> Com
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    d = a.dim
-    rng = np.random.default_rng(seed)
-    pts = [np.eye(d), np.ones((1, d))]
-    g = rng.standard_normal((trials, d))
-    g = g[np.max(np.abs(g), axis=1) > 1e-12]
-    if g.size:
-        pts.append(g)
-    pts = np.vstack(pts)
+    pts = _comparison_points(a.dim, trials, seed)
     na = norm_eval_many(a, pts)
     nb = norm_eval_many(b, pts)
     ratio = na / nb

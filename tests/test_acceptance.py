@@ -14,18 +14,18 @@ BASE_SEED = 0
 # which shifts a random draw or a last digit is seen
 PINNED_DETAILS = {
     1: "a_2=1.0 b_2=1.0 (exact: True); rel err a_1=0.00e+00, b_4=1.69e-16",
-    2: "1000 cases, 0 failures, worst margin -4.441e-16",
-    3: "96 single-atom cases, max rel route gap 3.774e-16",
+    2: "1000 cases, 0 failures, worst margin -8.882e-16",
+    3: "96 single-atom cases, max rel route gap 2.555e-16",
     4: "20/20 within 4 stderr, worst deviation 2.18 sigma",
     5: "500+500 cases, 0 lower / 0 upper failures, min margin 1.733e-03",
     6: "200 cases/property, failures {'level': 0, 'chain': 0, 'p-mono': 0, 'l2-identity': 0},"
-    " max p=2 identity rel err 8.144e-16",
+    " max p=2 identity rel err 5.817e-16",
     7: "1005 ratio checks, 0 bound violations, 0 sharpness misses",
-    8: "euclidean gap <= 7.02e-16; planar counterexample found; no spurious violations in 10^4-trial searches;"
+    8: "euclidean gap <= 4.88e-16; planar counterexample found; no spurious violations in 10^4-trial searches;"
     " three-vector inequality clean",
     9: "closed form rel err <= 2.22e-16 up to n=10^6; planar pair pinched at 1; 60 cube reports consistent;"
     " cotype bound rel err <= 0.00e+00",
-    10: "value-argument suite: True (hom 6.8e-16); law-argument suite: True (even 0.0e+00);"
+    10: "value-argument suite: True (hom 4.1e-16); law-argument suite: True (even 0.0e+00);"
     " zero-sum precondition error fired: True",
 }
 

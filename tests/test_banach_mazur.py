@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khbm import banach_mazur
 from khbm.banach_mazur import (
     LowerBound,
     TransformBound,
@@ -19,7 +20,8 @@ from khbm.banach_mazur import (
     theorem2_general_lower,
     upper_bound_via_transform,
 )
-from khbm.norms import LpNorm, PolytopeGauge
+from khbm.constants import lower_constant
+from khbm.norms import LpNorm, PolytopeGauge, estimate_comparison
 
 
 def test_corollary1_crosspolytope_values():
@@ -84,6 +86,34 @@ def test_prop4_polytope_uses_polar():
         assert got.case == want.case == "dual-general"
         assert not got.rigorous
         assert abs(got.raw - want.raw) <= 1e-12 * want.raw
+
+
+def test_polytope_bounds_evaluate_the_gauge_once(monkeypatch):
+    # the sample and its gauge values are shared by every exponent the
+    # optimizer tries; the bound is the one estimate_comparison gives
+    angles = np.arange(6) * math.pi / 3.0 + 0.3
+    hexagon = PolytopeGauge(np.stack([np.cos(angles), 1.4 * np.sin(angles)], axis=1))
+    gauge_calls = []
+    real = banach_mazur.norm_eval_many
+
+    def counting(spec, pts):
+        gauge_calls.append(isinstance(spec, PolytopeGauge))
+        return real(spec, pts)
+
+    monkeypatch.setattr(banach_mazur, "norm_eval_many", counting)
+    general = theorem2_general_lower(hexagon, 2, trials=16, seed=5)
+    cotype = theorem2_cotype_lower(hexagon, 1.5, 2, trials=16, seed=5)
+    assert sum(gauge_calls) == 2
+
+    def lower(a, b):
+        return estimate_comparison(a, b, 16, 5).lower
+
+    p = general.witness_p
+    want = lower(hexagon, LpNorm(p, 2)) * lower(LpNorm(1.0, 2), hexagon) * lower_constant(p) * 2.0 ** (1.0 / p - 0.5)
+    assert general.raw == want
+    p = cotype.witness_p
+    want = lower_constant(1.5) * lower(hexagon, LpNorm(p, 2)) * lower(LpNorm(p, 2), hexagon) * math.sqrt(2)
+    assert cotype.raw == want
 
 
 def test_known_distance_table():

@@ -255,6 +255,18 @@ def test_bad_budget_env_is_usage_error(capsys, monkeypatch, vectors_csv):
             assert err.startswith("error: KHBM_BUDGET must be"), argv
 
 
+def test_memory_refusal_is_usage_error(capsys, monkeypatch, tmp_path):
+    # 4 terms fit KHBM_BUDGET, the 50-dim half tables do not: exit 2, no MemoryError
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, np.ones((2, 50)), delimiter=",")
+    monkeypatch.setenv("KHBM_BUDGET", "100")
+    code, out, err = run_cli(
+        capsys, "ipf", "--vectors", str(path), "--atoms", "atoms:1,0.5", "--p", "2", "--norm", "lp:2:50"
+    )
+    assert (code, out) == (2, "")
+    assert "floats" in err and "budget 100" in err
+
+
 def test_acceptance_single_criterion(capsys):
     code, out, _ = run_cli(capsys, "acceptance", "--criterion", "1", "--format", "csv")
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +23,38 @@ def brute_ratio(x, k, alpha):
     return math.fsum(sums) / (len(sums) * total)
 
 
-def test_matches_brute_force_oracle():
-    import numpy as np
+def combinations_ratio(x, k, alpha, chunk=1 << 16):
+    """Reference: every k-subset from itertools.combinations, summed in chunks."""
+    it = itertools.combinations(range(len(x)), k)
+    xs = np.array(x)
+    totals = []
+    while True:
+        flat = np.fromiter((i for subset in itertools.islice(it, chunk) for i in subset), dtype=np.intp)
+        if flat.size == 0:
+            break
+        totals.append(float((xs[flat.reshape(-1, k)].sum(axis=1) ** alpha).sum()))
+    return math.fsum(totals) / (math.comb(len(x), k) * math.fsum(x) ** alpha)
 
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_every_k_matches_combinations_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    x = tuple(rng.uniform(0.0, 2.0, size=n).tolist())
+    for k in range(1, n + 1):
+        for alpha in (0.0, 0.5, 1.7, 3.0):
+            got = subset_power_ratio(SubsetRatioInput(x, k, alpha))
+            want = combinations_ratio(x, k, alpha)
+            assert abs(got - want) <= 1e-12 * want, (k, alpha)
+    # (sum x)^alpha leaves the double range: the ratio is taken on x / sum(x)
+    unit = tuple(t / math.fsum(x) for t in x)
+    for scale, alpha in ((1e-300, 3.0), (1e300, 3.0), (1e-200, 40.0)):
+        for k in range(1, n + 1):
+            got = subset_power_ratio(SubsetRatioInput(tuple(scale * t for t in x), k, alpha))
+            want = combinations_ratio(unit, k, alpha)
+            assert abs(got - want) <= 1e-12 * want, (scale, k)
+
+
+def test_matches_brute_force_oracle():
     rng = np.random.default_rng(6)
     for _ in range(30):
         n = int(rng.integers(1, 8))

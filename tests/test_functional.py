@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from khbm import functional
+from khbm.combinatorics import SubsetRatioInput, subset_power_ratio
 from khbm.distributions import SymmetricAtoms, rademacher
 from khbm.functional import (
     EnumerationBudgetError,
     VectorTuple,
+    _law_support,
     check_argument_norm_axioms,
     check_barycenter_reduction,
     check_level_monotonicity,
@@ -19,7 +22,8 @@ from khbm.functional import (
     _sign_matrix,
     verify_theorem1,
 )
-from khbm.norms import LpNorm, norm_eval
+from khbm.hanner import hanner_gap
+from khbm.norms import LpNorm, PolytopeGauge, norm_eval, norm_eval_many
 
 
 def brute_force_pth_power(v, f, p, norm):
@@ -38,6 +42,110 @@ def brute_force_pth_power(v, f, p, norm):
                 vec[j] += coeff * x
         terms.append(weight * norm_eval(norm, vec) ** p)
     return math.fsum(terms)
+
+
+def digit_pth_power(rows, f, p, norm, chunk=1 << 15):
+    """Reference: one term per support assignment, from the base-k digits of its index."""
+    values, weights = _law_support(f)
+    n, k = rows.shape[0], len(values)
+    radix = k ** np.arange(n, dtype=np.int64)
+    totals = []
+    for start in range(0, k**n, chunk):
+        idx = np.arange(start, min(start + chunk, k**n), dtype=np.int64)
+        digits = (idx[:, None] // radix[None, :]) % k
+        norms = norm_eval_many(norm, values[digits] @ rows)
+        totals.append(float(np.dot(weights[digits].prod(axis=1), norms**p)))
+    return math.fsum(totals)
+
+
+_LAWS = {
+    "fair": rademacher(),  # no zero atom
+    "one-atom": SymmetricAtoms(((1.3, 0.2),)),  # zero atom
+    "two-atom": SymmetricAtoms(((2.0, 0.125), (0.7, 0.25))),  # zero atom
+    "full-two-atom": SymmetricAtoms(((2.0, 0.25), (0.7, 0.25))),  # zero mass exactly 0
+    "zero": SymmetricAtoms(()),
+}
+_EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
+_KERNEL_CASES = [(n, "fair" if n % 2 else "one-atom", _EXPONENTS[n % 5]) for n in range(1, 11)] + [
+    (5, "two-atom", 3.0),
+    (6, "full-two-atom", 1.5),
+    (3, "zero", 2.0),
+    (4, "one-atom", "hexagon"),
+    (7, "fair", "hexagon"),
+]
+
+
+@pytest.mark.parametrize("n, law, r", _KERNEL_CASES)
+def test_kernel_matches_digit_enumeration(n, law, r):
+    rng = np.random.default_rng(n)
+    if r == "hexagon":
+        angles = np.arange(6) * math.pi / 3.0 + 0.2
+        norm = PolytopeGauge(np.stack([np.cos(angles), 1.3 * np.sin(angles)], axis=1))
+    else:
+        norm = LpNorm(r, 3)
+    v = rng.standard_normal((n, norm.dim))
+    p = float(rng.uniform(1.0, 4.0))
+    got = ipf_exact(v, _LAWS[law], p, norm)
+    want = digit_pth_power(v, _LAWS[law], p, norm)
+    assert got.terms_evaluated == len(_law_support(_LAWS[law])[0]) ** n
+    if law == "zero":
+        assert got.pth_power == got.value == want == 0.0
+        return
+    assert abs(got.pth_power - want) <= 1e-12 * want
+    assert abs(got.value - want ** (1.0 / p)) <= 1e-12 * got.value
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 10, 1 << 24])
+def test_results_do_not_depend_on_block_size(monkeypatch, chunk):
+    rng = np.random.default_rng(21)
+    v, law, norm = rng.standard_normal((9, 3)), _LAWS["two-atom"], LpNorm(1.5, 3)
+    x = tuple(rng.uniform(0.0, 1.0, size=16).tolist())
+
+    def outputs():
+        return (
+            ipf_exact(v, law, 2.7, norm),
+            hanner_gap(norm, v, 1.5),
+            [subset_power_ratio(SubsetRatioInput(x, k, 1.7)) for k in (1, 5, 8)],
+        )
+
+    base = outputs()
+    monkeypatch.setattr(functional, "_CHUNK", chunk)
+    assert outputs() == base  # bitwise
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [300.0, 400.0, 1000.0])
+def test_large_p_value_does_not_overflow(p):
+    # every sign gives ||sum eps_i v_i|| = 16, so I_p = 16 for every p,
+    # while 16^p leaves the double range once p > 256
+    v, norm = 8.0 * np.eye(4), LpNorm(2.0, 4)
+    results = (
+        ipf_exact(v, rademacher(), p, norm),
+        ipf_two_valued_exact(v, 0.5, p, norm),
+        ipf_monte_carlo(v, rademacher(), p, norm, samples=1000, seed=0),
+    )
+    for res in results:
+        assert abs(res.value - 16.0) <= 1e-12 * 16.0
+        assert res.pth_power == math.inf  # only M^p itself overflows
+    assert results[2].stderr == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_vector_sums_give_inf_not_nan():
+    v, norm = np.array([[1e308, 0.0], [1e308, 1.0]]), LpNorm(2.0, 2)
+    for res in (
+        ipf_exact(v, rademacher(), 2.0, norm),
+        ipf_two_valued_exact(v, 0.5, 2.0, norm),
+        ipf_monte_carlo(v, rademacher(), 2.0, norm, samples=100, seed=0),
+    ):
+        assert res.value == res.pth_power == math.inf
+
+
+def test_memory_bound_refuses_before_allocating():
+    # 4 terms fit the budget, but the half tables and block of 50-dim sums do not
+    with pytest.raises(EnumerationBudgetError, match="floats"):
+        ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=100)
+    assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=250).terms_evaluated == 4
 
 
 def test_exact_matches_brute_force():
