@@ -335,7 +335,7 @@ def _c10_norm_axioms(seed: int) -> tuple[bool, str]:
     ok = value_rep.passed and arg_rep.passed and precondition_fired
     return ok, (
         f"value-argument suite: {value_rep.passed} (hom {value_rep.homogeneity_max_rel_err:.1e}); "
-        f"law-argument suite: {arg_rep.passed} (even {arg_rep.evenness_max_rel_err:.1e}); "
+        f"law-argument suite: {arg_rep.passed}; "
         f"zero-sum precondition error fired: {precondition_fired}"
     )
 

@@ -13,6 +13,12 @@ Lower bounds come from moment-comparison inequalities:
 * ``corollary1_lower``: max{A_p n^(1/2-1/q), A_q* n^(1/p-1/2)} for
   1 <= p < 2 < q <= inf.
 
+The supremum over p runs over [lo, 64].  For an l^r body it is exact: the
+largest objective value on the breakpoints {lo, 2, r, 64}, each piece
+between them being monotone or log-convex in 1/p (``_maximize_exponent``
+has the proof).  A polytope body's objective rests on sampled comparison
+constants and keeps a log grid plus golden-section search.
+
 Upper bounds come from explicit linear transforms: for invertible T,
 
     d(K, L) <= [max over Ext(K) of ||Tx||_L] * [max over Ext(B_L) of ||T^-1 y||_K]
@@ -139,6 +145,39 @@ def _optimize_exponent(
     return float(best_val), float(best_x)
 
 
+def _maximize_exponent(objective: Callable[[float], float], L: NormSpec, lo: float) -> tuple[float, float]:
+    """sup of a Theorem-2 objective over p in [lo, 64], and the smallest maximizer.
+
+    For an l^r body L the supremum is the largest value on the breakpoints
+    {lo, 2, r, 64} inside [lo, 64], with no search.  With t = 1/p, A_p is
+    2^(1/2 - t) on [1, p0] (two-point), ||g||_p on [p0, 2] (gaussian) and
+    1 from 2 on (Haagerup, Studia Math. 70, 1981; p0 ~ 1.847), so A_p is
+    nondecreasing.  The general objective is C A_p n^(t - 1/2) min(1, n^(1/r - t)):
+
+    * p <= r: it is A_p times a constant, nondecreasing in p;
+    * p >= max(r, 2): it is n^t times a constant, nonincreasing in p;
+    * r <= p <= p0, n >= 2: it is a constant times sqrt(2) (n/2)^t,
+      nonincreasing in p, so p0 never beats r;
+    * max(r, p0) <= p <= 2: A_p = ||g||_(1/t), and t -> log ||g||_(1/t) is
+      convex (Lyapunov), so the log-objective is convex in t and peaks at
+      an end of the piece: max(r, p0), covered above, or 2.
+
+    At n = 1 the objective is A_p, which first reaches its maximum 1 at
+    p = 2.  The cotype objective is A_q sqrt(n) n^(-|1/r - t|), which peaks
+    at p = r clipped to [q, 64].  The witness is the smallest breakpoint
+    attaining the maximum, so a flat stretch reports its left end.
+
+    A polytope body's objective is built from sampled comparison
+    constants, which this argument does not cover: it keeps the grid and
+    golden-section search of ``_optimize_exponent``.
+    """
+    if not isinstance(L, LpNorm):
+        return _optimize_exponent(objective, lo, _P_HI, extras=(lo, 2.0))
+    values = [(objective(p), p) for p in {lo, 2.0, L.r, _P_HI} if lo <= p <= _P_HI]
+    best = max(v for v, _ in values)
+    return best, min(p for v, p in values if v == best)
+
+
 def theorem2_general_lower(L: NormSpec, n: int, trials: int = 2048, seed: int = 0) -> LowerBound:
     """Lower bound for d(cube, L) from the general moment inequality."""
     if L.dim != n:
@@ -149,9 +188,7 @@ def theorem2_general_lower(L: NormSpec, n: int, trials: int = 2048, seed: int = 
     def objective(p: float) -> float:
         return to_lp(p) * one_factor * lower_constant(p) * float(n) ** (_inv(p) - 0.5)
 
-    raw, witness = _optimize_exponent(
-        objective, 1.0, _P_HI, extras=(1.0, 2.0) + ((L.r,) if isinstance(L, LpNorm) and not math.isinf(L.r) else ())
-    )
+    raw, witness = _maximize_exponent(objective, L, 1.0)
     rigorous = isinstance(L, LpNorm)
     return LowerBound("thm2-general", max(1.0, raw), raw, witness, rigorous)
 
@@ -161,8 +198,8 @@ def theorem2_cotype_lower(L: NormSpec, q: float, n: int, trials: int = 2048, see
 
     The hypothesis is recorded, not verified; the caller owns it.
     """
-    if not q >= 1.0:
-        raise ValueError(f"need q >= 1, got {q}")
+    if not 1.0 <= q <= _P_HI:
+        raise ValueError(f"need 1 <= q <= {_P_HI:g}, got {q}")
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
 
@@ -171,8 +208,7 @@ def theorem2_cotype_lower(L: NormSpec, q: float, n: int, trials: int = 2048, see
     def objective(p: float) -> float:
         return lower_constant(q) * to_lp(p) * from_lp(p) * math.sqrt(n)
 
-    extras = (q, 2.0) + ((L.r,) if isinstance(L, LpNorm) and not math.isinf(L.r) else ())
-    raw, witness = _optimize_exponent(objective, q, _P_HI, extras=extras)
+    raw, witness = _maximize_exponent(objective, L, q)
     rigorous = isinstance(L, LpNorm)
     return LowerBound(
         "thm2-cotype", max(1.0, raw), raw, witness, rigorous, note=f"assumes Hanner cotype ({q:g}, {n})"

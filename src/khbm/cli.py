@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -345,6 +346,7 @@ def _add_common(sp: argparse.ArgumentParser, budget: bool = True) -> None:
         sp.add_argument("--budget", type=int, default=None, help="enumeration term limit (default KHBM_BUDGET or 10^8)")
 
 
+@functools.cache  # parsing never mutates the parser, so one per process serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="khbm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"khbm {__version__}")

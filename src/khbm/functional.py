@@ -258,13 +258,10 @@ def _enumerate_pth_power(
     the whole second table, evaluated by a broadcast outer sum.  The law is
     symmetric, so the first coordinate runs over {0} and the positive
     levels only and a nonzero first value counts twice (c and -c have
-    equal weights and norms).  ``values`` must be sorted, ascending or
-    (for a negated support) descending.
+    equal weights and norms).  ``values`` must be ascending.
     """
     budget = default_budget() if budget is None else budget
     n, d, k = rows.shape[0], rows.shape[1], len(values)
-    if values[0] > values[-1]:  # a negated support: reversed, it is the same array
-        values, weights = values[::-1], weights[::-1]
     h = max(1, n // 2)
     units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
     step = _block_rows(units, unit_len)
@@ -331,6 +328,8 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
             f"subset expansion needs up to {bound} terms, exceeding budget {budget}; "
             "use ipf_monte_carlo instead"
         )
+    # the largest sign table, k = n, and its (2^n, d) product with the rows
+    _check_floats((1 << n) * (n + rows.shape[1]), budget, "the sign table and its vector sums")
     tops, sums = [], []
     terms = 0
     for k in range(1, n + 1):
@@ -489,7 +488,6 @@ def check_value_norm_axioms(
 class ArgumentAxiomReport:
     trials: int
     homogeneity_max_rel_err: float
-    evenness_max_rel_err: float
     min_nonzero_value: float
     zero_law_value: float
     passed: bool
@@ -510,11 +508,13 @@ def check_argument_norm_axioms(
 ) -> ArgumentAxiomReport:
     """Randomized check that f -> I_p(v, f) behaves like a norm on laws.
 
-    Tests positive 1-homogeneity in the levels, invariance under
-    negating the support values (the law of an odd function equals the
-    law of its negation), and definiteness over sampled nonzero step
-    laws.  Requires sum(v_i) != 0, without which definiteness fails
-    (the constant-like direction is annihilated).
+    Tests positive 1-homogeneity in the levels and definiteness over
+    sampled nonzero step laws.  Evenness (negating the support values
+    leaves I_p unchanged) holds by construction and is not measured: a
+    ``SymmetricAtoms`` law is its own negation, and the kernel sorts its
+    support, so the negated support is the same array.  Requires
+    sum(v_i) != 0, without which definiteness fails (the constant-like
+    direction is annihilated).
     """
     rows = _as_rows(v)
     if norm is None:
@@ -524,7 +524,6 @@ def check_argument_norm_axioms(
         raise ValueError("sum(v_i) must be nonzero: the law-argument norm requires a nonzero vector sum")
     rng = np.random.default_rng(seed)
     hom_err = 0.0
-    even_err = 0.0
     min_pos = math.inf
     passed = True
     for _ in range(trials):
@@ -535,16 +534,8 @@ def check_argument_norm_axioms(
         scaled = ipf_exact(rows, scaled_law, p, norm).value
         scale = max(scaled, k * base, 1e-300)
         hom_err = max(hom_err, abs(scaled - k * base) / scale)
-        # negating every support value leaves the law invariant
-        values, weights = _sorted_support(f)
-        _, neg = _pth_and_value(*_enumerate_pth_power(rows, -values, weights, p, norm)[:2], p)
-        even_err = max(even_err, abs(neg - base) / max(base, 1e-300))
         min_pos = min(min_pos, base)
-        if not (
-            tol.close(scaled, k * base, rel=tol.REL_SLACK)
-            and tol.close(neg, base, rel=tol.REL_IDENTITY)
-            and base > 0.0
-        ):
+        if not (tol.close(scaled, k * base, rel=tol.REL_SLACK) and base > 0.0):
             passed = False
     zero_val = ipf_exact(rows, SymmetricAtoms(()), p, norm).value
     if zero_val != 0.0:
@@ -552,7 +543,6 @@ def check_argument_norm_axioms(
     return ArgumentAxiomReport(
         trials=trials,
         homogeneity_max_rel_err=hom_err,
-        evenness_max_rel_err=even_err,
         min_nonzero_value=min_pos,
         zero_law_value=zero_val,
         passed=passed,

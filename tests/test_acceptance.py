@@ -25,7 +25,7 @@ PINNED_DETAILS = {
     " three-vector inequality clean",
     9: "closed form rel err <= 2.22e-16 up to n=10^6; planar pair pinched at 1; 60 cube reports consistent;"
     " cotype bound rel err <= 0.00e+00",
-    10: "value-argument suite: True (hom 4.1e-16); law-argument suite: True (even 0.0e+00);"
+    10: "value-argument suite: True (hom 4.1e-16); law-argument suite: True;"
     " zero-sum precondition error fired: True",
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from khbm import banach_mazur
 from khbm.banach_mazur import (
@@ -44,10 +45,78 @@ def test_general_lower_crosspolytope():
         lb = theorem2_general_lower(LpNorm(1.0, n), n)
         assert lb.rigorous
         assert abs(lb.raw - math.sqrt(n / 2.0)) <= 1e-9 * lb.raw
-        if n > 2:
-            # strictly decreasing objective: the sup sits at the endpoint
-            # (at n = 2 it is flat near p = 1 and the witness floats)
-            assert abs(lb.witness_p - 1.0) < 1e-6
+        # nonincreasing objective (flat on [1, p0] at n = 2): the smallest maximizer is 1
+        assert lb.witness_p == 1.0
+
+
+def _khinchine_lower(p):
+    # A_p = min{1, 2^(1/2 - 1/p), ||g||_p}, vectorized over p
+    gauss = np.sqrt(2.0) * np.exp((gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
+    return np.minimum(1.0, np.minimum(2.0 ** (0.5 - 1.0 / p), gauss))
+
+
+@pytest.mark.parametrize("r", [1.0, 1.1, 1.5, 1.8, 1.85, 1.9, 2.0, 2.5, 3.0, 10.0, 64.0, 100.0, math.inf])
+def test_breakpoint_max_matches_search_and_dense_grid(r):
+    # the breakpoint maximum against the golden-section search it replaced,
+    # with the same objective, and against the closed-form objective on a
+    # dense grid of [lo, 64]
+    inv_r = 1.0 / r
+    for n in [*range(1, 17), 100, 10**6]:
+        L = LpNorm(r, n)
+        to_lp, from_lp = banach_mazur._lower_comparisons(L, 1, 0)
+        for q in (None, 1.0, 1.5, 2.0):
+            lo = 1.0 if q is None else q
+            ps = np.geomspace(lo, 64.0, 4001)
+            if q is None:
+                got = theorem2_general_lower(L, n)
+                grid = _khinchine_lower(ps) * n ** (1.0 / ps - 0.5) * np.minimum(1.0, n ** (inv_r - 1.0 / ps))
+
+                def objective(p):
+                    return to_lp(p) * from_lp(1.0) * lower_constant(p) * float(n) ** (1.0 / p - 0.5)
+
+            else:
+                got = theorem2_cotype_lower(L, q, n)
+                grid = lower_constant(q) * math.sqrt(n) * n ** -np.abs(inv_r - 1.0 / ps)
+
+                def objective(p):
+                    return lower_constant(q) * to_lp(p) * from_lp(p) * math.sqrt(n)
+
+            extras = (lo, 2.0) + ((r,) if r <= 64.0 else ())
+            searched, _ = banach_mazur._optimize_exponent(objective, lo, 64.0, extras)
+            assert abs(got.raw - searched) <= 1e-15 * searched, (n, q)
+            assert grid.max() <= got.raw * (1.0 + 1e-15), (n, q)
+            assert got.raw == objective(got.witness_p)
+
+
+def test_flat_objectives_report_the_smallest_maximizer():
+    # l^inf and l^3 at n = 4 are flat from p = 2 on; the search used to
+    # report 62.4 and 2.55
+    assert theorem2_general_lower(LpNorm(math.inf, 4), 4).witness_p == 2.0
+    assert theorem2_general_lower(LpNorm(3.0, 4), 4).witness_p == 2.0
+    rep = sandwich_report(math.inf, 3.0, 4)
+    assert [lb.witness_p for lb in rep.lower_bounds] == [2.0, 2.0, 2.0]
+    # n = 1: the objective is A_p, which first reaches 1 at p = 2; a
+    # constant cotype objective reports q
+    assert theorem2_general_lower(LpNorm(1.5, 1), 1).witness_p == 2.0
+    assert theorem2_cotype_lower(LpNorm(3.0, 1), 1.5, 1).witness_p == 1.5
+
+
+def test_search_runs_only_for_polytope_bodies(monkeypatch):
+    calls = []
+    real = banach_mazur._optimize_exponent
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(banach_mazur, "_optimize_exponent", counting)
+    for p, q in ((1.0, math.inf), (1.5, 3.0), (math.inf, 2.0), (1.0, 1.5)):
+        sandwich_report(p, q, 4)
+    assert calls == []
+    square = PolytopeGauge(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+    theorem2_general_lower(square, 2, trials=8)
+    theorem2_cotype_lower(square, 1.5, 2, trials=8)
+    assert calls == [(1.0, 64.0), (1.5, 64.0)]
 
 
 def test_cotype_lower_euclidean_is_sqrt_n():
@@ -65,6 +134,8 @@ def test_dim_mismatch():
         theorem2_cotype_lower(LpNorm(2.0, 3), 2.0, 4)
     with pytest.raises(ValueError):
         theorem2_cotype_lower(LpNorm(2.0, 3), 0.5, 3)
+    with pytest.raises(ValueError):
+        theorem2_cotype_lower(LpNorm(2.0, 3), 65.0, 3)
 
 
 def test_prop4_cases():

@@ -283,3 +283,28 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["a_p"] == 1.0
+
+
+def test_one_process_matches_fresh_processes(monkeypatch, capsys):
+    # main() reuses one parser per process; a mixed sequence of calls in
+    # one process must print what each call prints in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    monkeypatch.delenv("KHBM_BUDGET", raising=False)
+    argvs = [
+        ["bm", "--pair", "1", "inf", "4"],
+        ["bm", "--pair", "1", "2"],  # argparse usage error, exit 2
+        ["--version"],
+        ["bm", "--pair", "1", "x", "4"],  # handler usage error, exit 2
+        ["constants", "--p", "3"],
+    ]
+    got = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    fresh = [subprocess.run([sys.executable, "-m", "khbm.cli", *argv], capture_output=True, text=True) for argv in argvs]
+    assert got == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+    assert [code for code, _, _ in got] == [0, 2, 0, 2, 0]
