@@ -22,6 +22,7 @@ from .combinatorics import SubsetRatioInput, subset_power_ratio, verify_lemma1
 from .constants import khinchine_constants
 from .distributions import SymmetricAtoms, rademacher
 from .functional import (
+    _random_law,
     check_argument_norm_axioms,
     check_barycenter_reduction,
     check_level_monotonicity,
@@ -47,16 +48,6 @@ class CriterionResult:
 
 def _subseed(base_seed: int, cid: int) -> int:
     return int(np.random.SeedSequence(base_seed, spawn_key=(cid,)).generate_state(1, np.uint64)[0])
-
-
-def _random_law(rng: np.random.Generator, max_atoms: int = 3) -> SymmetricAtoms:
-    m = int(rng.integers(1, max_atoms + 1))
-    levels = np.sort(rng.uniform(0.3, 2.0, size=m))[::-1]
-    while len(set(levels.tolist())) < m:
-        levels = np.sort(rng.uniform(0.3, 2.0, size=m))[::-1]
-    shares = rng.uniform(0.2, 1.0, size=m)
-    shares *= rng.uniform(0.1, 0.45) / shares.sum()
-    return SymmetricAtoms(tuple((float(a), float(t)) for a, t in zip(levels, shares)))
 
 
 def _c1_constants(seed: int) -> tuple[bool, str]:
@@ -260,12 +251,9 @@ def _c8_hanner(seed: int) -> tuple[bool, str]:
                     problems.append(f"spurious type-{p:g} violation at n={n}, d={d}: {hit.violation:.2e}")
     hlawka_fails = 0
     for r in (1.0, 2.0):
-        d = 3
-        norm = LpNorm(r, d)
-        for _ in range(10_000):
-            x, y, z = rng.standard_normal((3, d))
-            if not hlawka_check(norm, x, y, z).holds:
-                hlawka_fails += 1
+        # one draw of 10^4 triples continues the per-triple stream bitwise
+        x, y, z = np.moveaxis(rng.standard_normal((10_000, 3, 3)), 1, 0)
+        hlawka_fails += int(np.count_nonzero(~hlawka_check(LpNorm(r, 3), x, y, z).holds))
     if hlawka_fails:
         problems.append(f"{hlawka_fails} three-vector inequality failures")
     ok = not problems
@@ -286,7 +274,7 @@ def _c9_banach_mazur(seed: int) -> tuple[bool, str]:
         worst = max(worst, rel)
         if rel > 1e-12:
             problems.append(f"crosspolytope-vs-cube value off at n={n}: rel {rel:.2e}")
-    rep = sandwich_report(1.0, math.inf, 2, seed=seed)
+    rep = sandwich_report(1.0, math.inf, 2)
     ub = rep.upper_bound
     max_low = max(lb.value for lb in rep.lower_bounds if lb.rigorous)
     if rep.known_exact != 1.0 or ub is None or not ub.rigorous:
@@ -295,7 +283,7 @@ def _c9_banach_mazur(seed: int) -> tuple[bool, str]:
         problems.append(f"planar sandwich not pinched at 1: lower {max_low!r}, upper {ub.value!r}")
     for q in (2.0, 3.0, 4.0, math.inf):
         for n in range(2, 17):
-            r = sandwich_report(math.inf, q, n, seed=seed)
+            r = sandwich_report(math.inf, q, n)
             known = 1.0 if math.isinf(q) else float(n) ** (1.0 / q)
             if r.known_exact is None or not tol.close(r.known_exact, known):
                 problems.append(f"missing known value for (inf, {q:g}, {n})")

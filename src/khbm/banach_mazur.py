@@ -21,11 +21,15 @@ constants and keeps a log grid plus golden-section search.
 
 Upper bounds come from explicit linear transforms: for invertible T,
 
-    d(K, L) <= [max over Ext(K) of ||Tx||_L] * [max over Ext(B_L) of ||T^-1 y||_K]
+    d(K, L) <= [max over B_K of ||Tx||_L] * [max over B_L of ||T^-1 y||_K]
 
 which is scale-invariant in T (scalar multiples cancel exactly in the
-product).  Reported lower bounds are clamped at 1 (a distance is never
-smaller); the raw formula value is kept alongside for transparency.
+product).  Each factor is an exact maximum, never sampled: over the
+extreme points of the ball, or by duality over those of the dual of the
+target ball (``_ball_max``).  One of the two must be enumerable, which
+holds for a polytope, l^1 or l^inf body against any l^q ball.  Reported
+lower bounds are clamped at 1 (a distance is never smaller); the raw
+formula value is kept alongside for transparency.
 """
 
 from __future__ import annotations
@@ -112,15 +116,14 @@ def _optimize_exponent(
     objective: Callable[[float], float], lo: float, hi: float, extras: tuple[float, ...] = ()
 ) -> tuple[float, float]:
     # coarse log grid, then golden-section refinement around the best
-    # grid point; the returned max dominates every point evaluated
-    grid = [float(x) for x in np.geomspace(lo, hi, _GRID_POINTS)]
-    grid.extend(x for x in extras if lo <= x <= hi)
-    evals = [(objective(x), x) for x in grid]
-    best_val, best_x = max(evals)
-    order = sorted(x for _, x in evals)
-    i = order.index(best_x)
-    left = order[max(0, i - 1)]
-    right = order[min(len(order) - 1, i + 1)]
+    # grid point; the returned max dominates every point evaluated.  The
+    # grid holds each point once, so the bracket around the best is never
+    # a single point
+    grid = sorted({float(x) for x in np.geomspace(lo, hi, _GRID_POINTS)}.union(x for x in extras if lo <= x <= hi))
+    best_val, best_x = max((objective(x), x) for x in grid)
+    i = grid.index(best_x)
+    left = grid[max(0, i - 1)]
+    right = grid[min(len(grid) - 1, i + 1)]
     a, b = math.log(left), math.log(right)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
@@ -313,7 +316,7 @@ class TransformBound:
     value: float
     factor_out: float
     factor_in: float
-    rigorous: bool
+    rigorous: bool  # always True: both factors are exact maxima
     transform_name: str
 
 
@@ -330,15 +333,33 @@ def _extreme_points(spec: NormSpec) -> np.ndarray:
     raise ValueError("extreme points are enumerable only for l^1, l^inf and polytope gauges")
 
 
-def upper_bound_via_transform(
-    K: NormSpec, L: NormSpec, T: np.ndarray, samples: int = 4096, seed: int = 0, name: str = "custom"
-) -> TransformBound:
-    """r(T) = max_{Ext(K)} ||Tx||_L * max_{Ext(B_L)} ||T^-1 y||_K >= d(K, L).
+def _enumerable(spec: NormSpec) -> bool:
+    return isinstance(spec, PolytopeGauge) or spec.r in (1.0, math.inf)
 
-    K must have enumerable extreme points (l^1, l^inf, polytope gauge).
-    The second factor is exact when Ext(B_L) is enumerable, or when K is
-    the cube and L is an l^q norm (row-wise Hoelder duality); otherwise
-    it is maximized over a sampled unit sphere and flagged non-rigorous.
+
+def _ball_max(K: NormSpec, L: NormSpec, S: np.ndarray) -> float:
+    """max over the unit ball of K of ||S x||_L, exactly.
+
+    A convex function peaks at an extreme point, so this is the maximum
+    over Ext(K) when K's extreme points are enumerable.  Otherwise it is
+    max over Ext(B_L*) of ||S^T a||_K*, since ||S x||_L = max <a, S x>
+    over a in B_L* and the two maxima commute.
+    """
+    if _enumerable(K):
+        return float(norm_eval_many(L, _extreme_points(K) @ S.T).max())
+    return float(norm_eval_many(dual_norm_spec(K), _extreme_points(dual_norm_spec(L)) @ S).max())
+
+
+def upper_bound_via_transform(K: NormSpec, L: NormSpec, T: np.ndarray, name: str = "custom") -> TransformBound:
+    """r(T) = max_{B_K} ||Tx||_L * max_{B_L} ||T^-1 y||_K >= d(K, L), exactly.
+
+    Each factor is a maximum of a norm over a unit ball (``_ball_max``),
+    taken over the extreme points of that ball when they are enumerable
+    (l^1, l^inf up to n = 14, a polytope gauge), else over those of the
+    dual of the target ball.  The first factor needs Ext(K) or Ext(B_L*)
+    enumerable and the second Ext(B_L) or Ext(K*), which holds for a
+    polytope, l^1 or l^inf body K against any l^q body L; otherwise
+    ValueError.  Both factors are exact, so ``rigorous`` is always True.
     """
     T = np.asarray(T, dtype=float)
     d = K.dim
@@ -353,29 +374,13 @@ def upper_bound_via_transform(
     if not np.all(np.isfinite(T_inv)) or np.linalg.cond(T) > 1e12:
         raise ValueError("transform is singular or ill-conditioned")
 
-    ext_k = _extreme_points(K)
-    factor_out = float(norm_eval_many(L, ext_k @ T.T).max())
-
-    rigorous = True
-    try:
-        ext_l = _extreme_points(L)
-        factor_in = float(norm_eval_many(K, ext_l @ T_inv.T).max())
-    except ValueError:
-        if isinstance(K, LpNorm) and math.isinf(K.r) and isinstance(L, LpNorm):
-            # max over B_L of ||T^-1 y||_inf is the largest dual-norm row
-            factor_in = float(norm_eval_many(dual_norm_spec(L), T_inv).max())
-        else:
-            rng = np.random.default_rng(seed)
-            g = rng.standard_normal((samples, d))
-            g = g[np.max(np.abs(g), axis=1) > 1e-12]
-            y = g / norm_eval_many(L, g)[:, None]
-            factor_in = float(norm_eval_many(K, y @ T_inv.T).max())
-            rigorous = False
+    factor_out = _ball_max(K, L, T)
+    factor_in = _ball_max(L, K, T_inv)
     return TransformBound(
         value=factor_out * factor_in,
         factor_out=factor_out,
         factor_in=factor_in,
-        rigorous=rigorous,
+        rigorous=True,
         transform_name=name,
     )
 
@@ -415,11 +420,10 @@ def default_transforms(n: int) -> list[tuple[str, np.ndarray]]:
 def _consistent(
     lower_bounds: Sequence[LowerBound], known: Optional[float], upper: Optional[TransformBound]
 ) -> bool:
-    # max rigorous lower <= known <= rigorous upper, where present; every
-    # pair is checked, since the slack makes leq not quite transitive
+    # max rigorous lower <= known <= upper, where present; every pair is
+    # checked, since the slack makes leq not quite transitive
     max_rig = max((lb.value for lb in lower_bounds if lb.rigorous), default=1.0)
-    upper_val = upper.value if upper is not None and upper.rigorous else None
-    chain = [x for x in (max_rig, known, upper_val) if x is not None]
+    chain = [x for x in (max_rig, known, None if upper is None else upper.value) if x is not None]
     return all(tol.leq(a, b) for a, b in itertools.combinations(chain, 2))
 
 
@@ -433,8 +437,6 @@ def sandwich_report(
     q: float,
     n: int,
     transforms: list[tuple[str, np.ndarray]] | None = None,
-    trials: int = 2048,
-    seed: int = 0,
 ) -> BMBoundReport:
     """All applicable bounds for d(l^p ball, l^q ball) in R^n.
 
@@ -442,7 +444,8 @@ def sandwich_report(
     is supported, and the best transform upper bound.  ``consistent``
     requires max rigorous lower <= known <= upper (where present), each
     with the standard slack.  Per-method failures become notes, not
-    errors.
+    errors.  Every bound is closed-form or exact, so the report is
+    deterministic.
     """
     _check_sandwich_n(n)
     K = LpNorm(p, n)
@@ -452,11 +455,11 @@ def sandwich_report(
 
     if math.isinf(p) or math.isinf(q):
         other = L if math.isinf(p) else K
-        lower.append(theorem2_general_lower(other, n, trials, seed))
+        lower.append(theorem2_general_lower(other, n))
         if other.r <= 2.0:
-            lower.append(theorem2_cotype_lower(other, other.r, n, trials, seed))
+            lower.append(theorem2_cotype_lower(other, other.r, n))
     for exponent, body in ((p, L), (q, K)):
-        r4 = prop4_lower(exponent, body, n, trials=trials, seed=seed)
+        r4 = prop4_lower(exponent, body, n)
         lower.append(LowerBound("prop4", r4.value, r4.raw, r4.witness_r, r4.rigorous, note=f"case {r4.case}"))
     a, b = min(p, q), max(p, q)
     if 1.0 <= a < 2.0 < b:
@@ -466,21 +469,20 @@ def sandwich_report(
     known = known_distance(p, q, n)
 
     best_upper: Optional[TransformBound] = None
-    enumerable = {1.0, math.inf}
     for tname, tmat in transforms if transforms is not None else default_transforms(n):
-        if p in enumerable:
+        if _enumerable(K):
             kk, ll = K, L
-        elif q in enumerable:
+        elif _enumerable(L):
             kk, ll = L, K
         else:
             notes.append(f"upper({tname}): neither body has enumerable extreme points")
             continue
         try:
-            cand = upper_bound_via_transform(kk, ll, tmat, seed=seed, name=tname)
+            cand = upper_bound_via_transform(kk, ll, tmat, name=tname)
         except ValueError as exc:
             notes.append(f"upper({tname}): {exc}")
             continue
-        if best_upper is None or (cand.rigorous, -cand.value) > (best_upper.rigorous, -best_upper.value):
+        if best_upper is None or cand.value < best_upper.value:
             best_upper = cand
 
     return BMBoundReport(

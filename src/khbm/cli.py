@@ -264,7 +264,7 @@ def _run_bm(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
         raise UsageError(f"bad dimension {args.pair[2]!r}") from exc
     _check_sandwich_n(n)  # before the transforms allocate n x n
     transforms = None if args.transforms is None else _parse_transforms(args.transforms, n)
-    rep = _filter_report(sandwich_report(p, q, n, transforms=transforms, seed=args.seed), _METHOD_GROUPS[args.methods])
+    rep = _filter_report(sandwich_report(p, q, n, transforms=transforms), _METHOD_GROUPS[args.methods])
     known = "" if rep.known_exact is None else _fmt(rep.known_exact)
     upper = "" if rep.upper_bound is None else _fmt(rep.upper_bound.value)
     rows: list[Sequence[str]] = [("method", "value", "witness_p", "rigorous", "known", "upper", "consistent")]

@@ -493,13 +493,14 @@ class ArgumentAxiomReport:
     passed: bool
 
 
-def _random_law(rng: np.random.Generator, max_atoms: int = 2) -> SymmetricAtoms:
+def _random_law(rng: np.random.Generator, max_atoms: int = 3) -> SymmetricAtoms:
+    # 1..max_atoms levels in [0.3, 2], total mass on each side in [0.1, 0.45]
     m = int(rng.integers(1, max_atoms + 1))
-    levels = np.sort(rng.uniform(0.2, 2.0, size=m))[::-1]
+    levels = np.sort(rng.uniform(0.3, 2.0, size=m))[::-1]
     while len(set(levels.tolist())) < m:  # enforce strict decrease
-        levels = np.sort(rng.uniform(0.2, 2.0, size=m))[::-1]
+        levels = np.sort(rng.uniform(0.3, 2.0, size=m))[::-1]
     shares = rng.uniform(0.2, 1.0, size=m)
-    shares *= rng.uniform(0.2, 0.5) / shares.sum()
+    shares *= rng.uniform(0.1, 0.45) / shares.sum()
     return SymmetricAtoms(tuple((float(a), float(t)) for a, t in zip(levels, shares)))
 
 
@@ -527,7 +528,7 @@ def check_argument_norm_axioms(
     min_pos = math.inf
     passed = True
     for _ in range(trials):
-        f = _random_law(rng)
+        f = _random_law(rng, max_atoms=2)
         k = float(rng.uniform(0.1, 2.0))
         base = ipf_exact(rows, f, p, norm).value
         scaled_law = SymmetricAtoms(tuple((k * a, t) for a, t in f.atoms))

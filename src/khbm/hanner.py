@@ -150,18 +150,24 @@ def falsify_hanner(
 
 @dataclass(frozen=True)
 class HlawkaReport:
-    lhs: float
-    rhs: float
-    gap: float
-    holds: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    gap: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def hlawka_check(norm: NormSpec, x, y, z) -> HlawkaReport:
-    """Three-vector inequality gap for one triple."""
+    """Three-vector inequality gap for one triple, or for each of a batch.
+
+    x, y and z have shape (..., d) and broadcast together; for a batch
+    every field is an array over the leading axes, and each triple gets
+    the slack ``tol.geq`` would give it alone.
+    """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    pts = np.stack([x, y, z, x + y + z, x + y, y + z, z + x])
-    n = norm_eval_many(norm, pts)
-    lhs = float(n[0] + n[1] + n[2] + n[3])
-    rhs = float(n[4] + n[5] + n[6])
-    gap = lhs - rhs
-    return HlawkaReport(lhs=lhs, rhs=rhs, gap=gap, holds=tol.geq(lhs, rhs))
+    n = norm_eval_many(norm, np.stack(np.broadcast_arrays(x, y, z, x + y + z, x + y, y + z, z + x)))
+    lhs = n[0] + n[1] + n[2] + n[3]
+    rhs = n[4] + n[5] + n[6]
+    holds = lhs >= rhs - np.maximum(tol.ABS_SLACK, tol.REL_SLACK * np.maximum(lhs, rhs))
+    if lhs.ndim == 0:
+        return HlawkaReport(lhs=float(lhs), rhs=float(rhs), gap=float(lhs - rhs), holds=bool(holds))
+    return HlawkaReport(lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=holds)

@@ -22,7 +22,7 @@ from khbm.banach_mazur import (
     upper_bound_via_transform,
 )
 from khbm.constants import lower_constant
-from khbm.norms import LpNorm, PolytopeGauge, estimate_comparison
+from khbm.norms import LpNorm, PolytopeGauge, dual_norm_spec, estimate_comparison, norm_eval_many
 
 
 def test_corollary1_crosspolytope_values():
@@ -117,6 +117,13 @@ def test_search_runs_only_for_polytope_bodies(monkeypatch):
     theorem2_general_lower(square, 2, trials=8)
     theorem2_cotype_lower(square, 1.5, 2, trials=8)
     assert calls == [(1.0, 64.0), (1.5, 64.0)]
+
+
+def test_search_brackets_a_best_point_at_the_low_end():
+    # lo is both the first grid point and an extra; the bracket used to be [lo, lo]
+    best, witness = banach_mazur._optimize_exponent(lambda p: -abs(p - 1.03), 1.0, 64.0, extras=(1.0, 2.0))
+    assert abs(witness - 1.03) <= 1e-12
+    assert best >= -1e-12
 
 
 def test_cotype_lower_euclidean_is_sqrt_n():
@@ -256,10 +263,48 @@ def test_upper_bound_rejects_singular():
         upper_bound_via_transform(LpNorm(1.0, 2), LpNorm(math.inf, 2), np.eye(3))
 
 
-def test_upper_bound_sampled_path_not_rigorous():
+def test_upper_bound_crosspolytope_lq_is_exact():
+    # max over the l^3 ball of ||y||_1 is 3^(2/3), by duality the l^(3/2) norm of a cube vertex
     tb = upper_bound_via_transform(LpNorm(1.0, 3), LpNorm(3.0, 3), np.eye(3), name="identity")
-    assert not tb.rigorous
-    assert tb.value > 0.0
+    assert tb.rigorous
+    assert abs(tb.factor_in - 3.0 ** (2 / 3)) <= 1e-15 * 3.0 ** (2 / 3)
+
+
+def _random_polytope(rng, d):
+    v = rng.standard_normal((int(rng.integers(d, 7)), d))
+    return PolytopeGauge(np.vstack([v, -v]))
+
+
+def _well_conditioned(rng, d):
+    while True:
+        T = rng.standard_normal((d, d))
+        if np.linalg.cond(T) < 50.0:
+            return T
+
+
+def test_ball_max_extreme_point_and_dual_routes_agree():
+    # max over B_K of ||S x||_L = max over B_L* of ||S^T a||_K*: the left side
+    # enumerates Ext(K) under L's facets, the right Ext(L*) = L's facets
+    # under K*'s facets = Ext(K), so the two are computed independently
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 4):
+        for _ in range(20):
+            K, L, S = _random_polytope(rng, d), _random_polytope(rng, d), _well_conditioned(rng, d)
+            direct = banach_mazur._ball_max(K, L, S)
+            dual = banach_mazur._ball_max(dual_norm_spec(L), dual_norm_spec(K), S.T)
+            assert abs(direct - dual) <= 1e-12 * direct
+    # the dual route for a ball without enumerable extreme points sits
+    # just above a dense sample of its unit circle
+    t = np.linspace(0.0, 2.0 * math.pi, 200_001)
+    for q in (1.5, 3.0):
+        circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+        circle /= norm_eval_many(LpNorm(q, 2), circle)[:, None]
+        for _ in range(5):
+            P, S = _random_polytope(rng, 2), _well_conditioned(rng, 2)
+            exact = banach_mazur._ball_max(LpNorm(q, 2), P, S)
+            sampled = float(norm_eval_many(P, circle @ S.T).max())
+            assert sampled <= exact * (1.0 + 1e-12)
+            assert exact <= sampled * (1.0 + 1e-8)
 
 
 def test_cube_duality_row_path_is_rigorous():
@@ -304,27 +349,47 @@ def test_sandwich_cube_euclidean_tight():
     assert rep.consistent
 
 
-def test_sandwich_nonrigorous_upper_excluded_from_consistency():
+def test_sandwich_crosspolytope_l3_upper_is_rigorous():
     rep = sandwich_report(1.0, 3.0, 3)
     assert rep.known_exact is None
-    assert rep.upper_bound is not None
-    assert not rep.upper_bound.rigorous
-    assert rep.consistent  # nothing rigorous to contradict
+    assert rep.upper_bound is not None and rep.upper_bound.rigorous
+    assert rep.consistent
+
+
+def test_sandwich_upper_bound_is_exact_on_the_exponent_grid():
+    exponents = (1.0, 1.5, 2.0, 3.0, math.inf)
+    for n in range(2, 17):
+        for p in exponents:
+            for q in exponents:
+                rep = sandwich_report(p, q, n)
+                assert rep.consistent, (p, q, n)
+                ub = rep.upper_bound
+                assert ub is None or ub.rigorous
+                if ub is not None and rep.known_exact is not None:
+                    assert ub.value >= rep.known_exact * (1.0 - 1e-15), (p, q, n)
+
+
+def test_sandwich_crosspolytope_past_the_cube_cap_has_no_upper():
+    # the l^2 factor runs over the 15-cube's vertices by duality, past the cap
+    rep = sandwich_report(1.0, 2.0, 15)
+    assert rep.upper_bound is None
+    assert rep.notes == ("upper(identity): cube vertex enumeration supports n <= 14, got 15",)
+    assert rep.consistent
 
 
 def test_consistency_rule_checks_every_pair():
     def lower(value, rigorous=True):
         return LowerBound("m", value, value, None, rigorous)
 
-    def upper(value, rigorous=True):
-        return TransformBound(value, value, 1.0, rigorous, "t")
+    def upper(value):
+        return TransformBound(value, value, 1.0, True, "t")
 
     assert _consistent([], None, None)
     assert not _consistent([lower(1.5)], 1.2, None)
     assert not _consistent([lower(1.5)], None, upper(1.2))
     assert not _consistent([lower(1.0)], 1.5, upper(1.2))
-    # non-rigorous members never contradict
-    assert _consistent([lower(1.5, rigorous=False)], 1.2, upper(0.5, rigorous=False))
+    # a non-rigorous lower bound never contradicts
+    assert _consistent([lower(1.5, rigorous=False)], 1.2, None)
     # each neighbour pair is within the 1e-9 slack, the outer pair is not
     assert not _consistent([lower(1.0 + 1.8e-9)], 1.0 + 0.9e-9, upper(1.0))
 

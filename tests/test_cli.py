@@ -127,6 +127,22 @@ def test_bm_csv_schema_and_filter(capsys):
     assert row[1] == "1.4142135623730951"
 
 
+def test_bm_upper_bound_not_below_known_distance(capsys):
+    # the sampled factor used to report 1.5857157 < 4^(1/3) = 1.5874011
+    code, out, _ = run_cli(capsys, "bm", "--pair", "1", "1.5", "4")
+    rep = json.loads(out)["report"]
+    assert code == 0
+    assert rep["upper_bound"]["rigorous"]
+    assert rep["upper_bound"]["value"] >= rep["known_exact"] * (1.0 - 1e-15)
+
+
+def test_bm_report_ignores_seed(capsys):
+    # every bound is exact; the seed is only recorded in the envelope
+    _, a, _ = run_cli(capsys, "bm", "--pair", "1", "3", "4", "--seed", "0")
+    _, b, _ = run_cli(capsys, "bm", "--pair", "1", "3", "4", "--seed", "5")
+    assert json.loads(a)["report"] == json.loads(b)["report"]
+
+
 def test_bm_bad_dimension(capsys):
     code, _, err = run_cli(capsys, "bm", "--pair", "3", "5", "zzz")
     assert code == 2

@@ -3,11 +3,13 @@
 The argv list is ``golden_argvs()``; the recorded outputs live in
 ``tests/data/cli_golden.json``, and vector files named in an argv are
 read from ``tests/data``.  A change meant to alter a pinned output
-regenerates the file with ``python tests/test_cli_golden.py`` and
-declares the change.
+regenerates the file with ``python tests/test_cli_golden.py``, which
+prints each changed argv with its changed lines, old -> new, for the
+change's declaration.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -60,12 +62,27 @@ def test_pinned_cli_outputs(monkeypatch):
     assert not changed, f"{len(changed)} pinned outputs changed: {changed}"
 
 
+def _changed_lines(old: dict, code: int, out: str) -> list[str]:
+    # the exit code and each differing stdout line, old -> new
+    lines = [f"exit code: {old['exit_code']} -> {code}"] if old["exit_code"] != code else []
+    diff = difflib.unified_diff(old["stdout"].splitlines(), out.splitlines(), lineterm="", n=0)
+    return lines + [line for line in diff if not line.startswith(("---", "+++", "@@"))]
+
+
 if __name__ == "__main__":
     os.chdir(DATA)
     os.environ.pop("KHBM_BUDGET", None)
+    recorded = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())} if GOLDEN.exists() else {}
     entries = []
     for argv in golden_argvs():
         code, out = _replay(argv)
         entries.append({"argv": argv, "exit_code": code, "stdout": out})
+        old = recorded.get(tuple(argv))
+        if old is None:
+            print(f"new: {' '.join(argv)}")
+        elif (old["exit_code"], old["stdout"]) != (code, out):
+            print(f"changed: {' '.join(argv)}")
+            for line in _changed_lines(old, code, out):
+                print(f"  {line}")
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} outputs to {GOLDEN}")

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from khbm import tolerances as tol
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
-from khbm.norms import LpNorm, norm_eval
+from khbm.norms import LpNorm, norm_eval, norm_eval_many
 
 
 def full_sign_sums(norm, vectors, q):
@@ -135,6 +136,21 @@ def test_hlawka_holds_for_l1_and_l2():
         for _ in range(200):
             x, y, z = rng.standard_normal((3, 3))
             assert hlawka_check(norm, x, y, z).holds
+
+
+def test_hlawka_batch_matches_per_triple():
+    # against a triple-at-a-time loop with the scalar slack rule; l^inf in
+    # R^3 fails the inequality on some triples, so both verdicts occur
+    rng = np.random.default_rng(15)
+    for norm in (LpNorm(1.0, 3), LpNorm(math.inf, 3)):
+        x, y, z = np.moveaxis(rng.standard_normal((300, 3, 3)), 1, 0)
+        batch = hlawka_check(norm, x, y, z)
+        for i, (a, b, c) in enumerate(zip(x, y, z)):
+            n = norm_eval_many(norm, np.stack([a, b, c, a + b + c, a + b, b + c, c + a]))
+            lhs, rhs = float(n[0] + n[1] + n[2] + n[3]), float(n[4] + n[5] + n[6])
+            assert (batch.lhs[i], batch.rhs[i], batch.gap[i]) == (lhs, rhs, lhs - rhs)
+            assert batch.holds[i] == tol.geq(lhs, rhs)
+    assert not batch.holds.all()
 
 
 def test_hlawka_hand_case():
