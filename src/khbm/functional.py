@@ -33,6 +33,19 @@ it is scaled, so large p cannot overflow (see ``IpResult``).  The half
 tables and the largest block are counted, in float64 values, against the
 same budget as the terms.  ``hanner.hanner_gap`` uses the same kernel
 for its sign sums.
+
+The two-valued route takes the subsets of each size k lazily, in chunks
+of ``_CHUNK // 2^k``, and evaluates a chunk as one stacked product of the
+sign table with the chunk's rows; each subset still yields its own pair,
+in ``combinations`` order, so the fold sees what a loop over single
+subsets would give.  Monte Carlo draws ``_MC_BLOCK`` samples at a time:
+Philox ``random`` draws continue one stream whatever the block shape, and
+counting the cumulative weights at or below each uniform is
+``searchsorted(side="right")``, the map ``Generator.choice`` applies, so
+the samples are those of a single ``choice`` call.  The last block takes
+the remainder, so no product is a single row (BLAS's matrix-vector path
+rounds differently).  The stored samples, one float each, are counted
+against the budget before the first draw.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -78,6 +91,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
+_MC_BLOCK = 1 << 16  # Monte Carlo samples drawn per block
 _TINY = math.ulp(0.0)  # the least positive double
 
 
@@ -337,12 +351,13 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
         if coef == 0.0:
             continue
         signs = _sign_matrix(k)
-        for subset in combinations(range(n), k):
-            norms = norm_eval_many(norm, signs @ rows[list(subset)])
-            top = float(norms.max())
-            tops.append(top)
-            sums.append(coef * float(((norms / max(top, _TINY)) ** p).sum()))
-            terms += signs.shape[0]
+        subsets = combinations(range(n), k)
+        while chunk := list(islice(subsets, max(1, _CHUNK >> k))):
+            norms = norm_eval_many(norm, signs @ rows[np.array(chunk)])
+            top = norms.max(axis=1)
+            tops += top.tolist()
+            sums += (coef * ((norms / np.maximum(top, _TINY)[:, None]) ** p).sum(axis=1)).tolist()
+            terms += norms.size
     pth, value = _pth_and_value(*_fold(tops, sums, p), p)
     return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
@@ -359,10 +374,21 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
         raise ValueError(f"need p >= 1, got {p}")
     rows = _as_rows(v)
     _check_dims(rows, norm)
+    _check_floats(samples, default_budget(), "the Monte Carlo samples")
     values, weights = _law_support(f)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(len(values), size=(samples, rows.shape[0]), p=weights)
-    norms = norm_eval_many(norm, values[idx] @ rows)
+    norms = np.empty(samples)
+    # the last block takes the remainder, so no block is a single row
+    edges = [i * _MC_BLOCK for i in range(max(1, samples // _MC_BLOCK))] + [samples]
+    for lo, hi in zip(edges, edges[1:]):
+        u = rng.random((hi - lo, rows.shape[0]))
+        # searchsorted(cdf, u, side="right"), as rng.choice draws; u < cdf[-1] = 1
+        idx = np.zeros(u.shape, np.min_scalar_type(len(values)))
+        for c in cdf[:-1]:
+            idx += u >= c
+        norms[lo:hi] = norm_eval_many(norm, values[idx] @ rows)
     peak = float(norms.max())
     scaled = (norms / peak) ** p if peak > 0.0 else norms
     mean, value = _pth_and_value(peak, float(scaled.mean()), p)

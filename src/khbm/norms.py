@@ -38,6 +38,7 @@ __all__ = [
 
 _MAX_GAUGE_DIM = 8
 _GAUGE_BLOCK = 1 << 20  # (points x facets) entries per gauge block: 8 MB per temporary
+_COLUMN_ROWS = 64  # below this many rows one reduce call is cheaper than a pass per column
 
 
 @dataclass(frozen=True)
@@ -125,18 +126,29 @@ def norm_eval(spec: NormSpec, x) -> float:
     return float(norm_eval_many(spec, x[None, :])[0])
 
 
+def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    # numpy adds a row of fewer than 8 entries left to right too, so the column
+    # loop gives the same bits without numpy's per-row set-up on a short axis
+    if a.shape[-1] >= 8 or a.size < _COLUMN_ROWS * a.shape[-1]:
+        return op.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        op(out, a[..., j], out=out)
+    return out
+
+
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
     a = np.abs(pts)
     if math.isinf(spec.r):
-        return a.max(axis=-1)
+        return _reduce_rows(np.maximum, a)
     if spec.r == 1.0:
-        return a.sum(axis=-1)
+        return _reduce_rows(np.add, a)
     if spec.r == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
+        return np.sqrt(_reduce_rows(np.add, a * a))
     # scale for overflow safety at large r
-    peak = a.max(axis=-1, keepdims=True)
+    peak = _reduce_rows(np.maximum, a)[..., None]
     safe = np.where(peak == 0.0, 1.0, peak)
-    out = safe[..., 0] * ((a / safe) ** spec.r).sum(axis=-1) ** (1.0 / spec.r)
+    out = safe[..., 0] * _reduce_rows(np.add, (a / safe) ** spec.r) ** (1.0 / spec.r)
     return np.where(peak[..., 0] == 0.0, 0.0, out)
 
 

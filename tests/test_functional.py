@@ -104,6 +104,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, chunk):
     def outputs():
         return (
             ipf_exact(v, law, 2.7, norm),
+            ipf_two_valued_exact(v, 0.25, 2.7, norm),
             hanner_gap(norm, v, 1.5),
             [subset_power_ratio(SubsetRatioInput(x, k, 1.7)) for k in (1, 5, 8)],
         )
@@ -199,6 +200,34 @@ def test_two_valued_route_matches_exact():
             assert abs(a.pth_power - b.pth_power) <= 1e-12 * max(a.pth_power, b.pth_power)
 
 
+def per_subset_two_valued(v, t, p, norm):
+    """Reference: the subset/sign expansion one subset at a time, folded as the route folds."""
+    n, w0 = len(v), 1.0 - 2.0 * t
+    tops, sums = [], []
+    for k in range(1, n + 1):
+        coef = t**k * w0 ** (n - k)
+        if coef == 0.0:
+            continue
+        for subset in itertools.combinations(range(n), k):
+            norms = norm_eval_many(norm, _sign_matrix(k) @ v[list(subset)])
+            top = float(norms.max())
+            tops.append(top)
+            sums.append(coef * float(((norms / max(top, functional._TINY)) ** p).sum()))
+    return functional._pth_and_value(*functional._fold(tops, sums, p), p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+def test_two_valued_blocks_bitwise_equal_per_subset(n):
+    rng = np.random.default_rng(100 + n)
+    v = rng.standard_normal((n, 3))
+    for t in (0.125, 0.25, 0.5):
+        for r in (1.0, 1.5, math.inf):
+            res = ipf_two_valued_exact(v, t, 2.5, LpNorm(r, 3))
+            pth, value = per_subset_two_valued(v, t, 2.5, LpNorm(r, 3))
+            assert (res.pth_power, res.value) == (pth, value)  # bitwise, not within a tolerance
+            assert res.terms_evaluated == (3**n - 1 if t < 0.5 else 2**n)
+
+
 def test_sign_matrix_is_read_only():
     # the cached table is shared by ipf_two_valued_exact, hanner and banach_mazur
     signs = _sign_matrix(3)
@@ -254,6 +283,40 @@ def test_monte_carlo_deterministic_per_seed():
     assert c.pth_power != a.pth_power
     assert a.stderr > 0.0
     assert a.method == "monte_carlo"
+
+
+def choice_monte_carlo(v, f, p, norm, samples, seed):
+    """Reference: one rng.choice draw of every index, one product, one norm call."""
+    values, weights = _law_support(f)
+    rng = np.random.Generator(np.random.Philox(seed))
+    idx = rng.choice(len(values), size=(samples, len(v)), p=weights)
+    norms = norm_eval_many(norm, values[idx] @ v)
+    peak = float(norms.max())
+    scaled = (norms / peak) ** p if peak > 0.0 else norms
+    mean, value = functional._pth_and_value(peak, float(scaled.mean()), p)
+    stderr, _ = functional._pth_and_value(peak, float(scaled.std(ddof=1) / math.sqrt(samples)), p)
+    return value, mean, stderr
+
+
+@pytest.mark.parametrize("samples", [2, 1 << 16, (1 << 16) + 1, (1 << 17) + 1])
+@pytest.mark.parametrize("n", [3, 10, 14])
+@pytest.mark.parametrize("d", [1, 3])
+def test_monte_carlo_blocks_bitwise_equal_one_draw(samples, n, d):
+    # numpy multiplies by one column (d = 1) through BLAS's matrix-vector path, by three through matrix-matrix
+    rng = np.random.default_rng(samples + n)
+    v = rng.standard_normal((n, d))
+    f = SymmetricAtoms(((2.0, 0.125), (1.0, 0.25)))
+    res = ipf_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples=samples, seed=n)
+    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples, n)
+
+
+def test_monte_carlo_memory_guard(monkeypatch):
+    # the samples are counted against the budget before the first draw
+    monkeypatch.setenv("KHBM_BUDGET", "1000")
+    v = np.eye(2)
+    with pytest.raises(EnumerationBudgetError, match="Monte Carlo samples need 5000 floats"):
+        ipf_monte_carlo(v, rademacher(), 2.0, LpNorm(2.0, 2), samples=5000, seed=0)
+    assert ipf_monte_carlo(v, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0).terms_evaluated == 1000
 
 
 def test_monte_carlo_validation():
