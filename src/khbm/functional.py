@@ -38,14 +38,17 @@ The two-valued route takes the subsets of each size k lazily, in chunks
 of ``_CHUNK // 2^k``, and evaluates a chunk as one stacked product of the
 sign table with the chunk's rows; each subset still yields its own pair,
 in ``combinations`` order, so the fold sees what a loop over single
-subsets would give.  Monte Carlo draws ``_MC_BLOCK`` samples at a time:
-Philox ``random`` draws continue one stream whatever the block shape, and
-counting the cumulative weights at or below each uniform is
-``searchsorted(side="right")``, the map ``Generator.choice`` applies, so
-the samples are those of a single ``choice`` call.  The last block takes
-the remainder, so no product is a single row (BLAS's matrix-vector path
-rounds differently).  The stored samples, one float each, are counted
-against the budget before the first draw.
+subsets would give.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
+samples: Philox ``random`` draws continue one stream whatever the block
+shape, and the uniforms become indices by ``searchsorted(side="right")``
+on the normalized cumulative weights, as ``Generator.choice`` maps them.
+A one-row tail joins the block before it, since a one-row product takes
+BLAS's matrix-vector path, which can round differently.  The output is
+then bitwise that of a single ``choice`` draw on BLAS builds whose
+matrix-product rows do not depend on the number of rows, as
+``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  The stored
+samples and the largest block are counted against the budget before the
+first draw.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
-_MC_BLOCK = 1 << 16  # Monte Carlo samples drawn per block
+_MC_BLOCK = 1 << 20  # uniforms per Monte Carlo block: each (block, n) temporary is 8 MB
 _TINY = math.ulp(0.0)  # the least positive double
 
 
@@ -374,20 +377,23 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
         raise ValueError(f"need p >= 1, got {p}")
     rows = _as_rows(v)
     _check_dims(rows, norm)
-    _check_floats(samples, default_budget(), "the Monte Carlo samples")
     values, weights = _law_support(f)
     cdf = weights.cumsum()
     cdf /= cdf[-1]
+    n, d = rows.shape
+    step = max(2, _MC_BLOCK // n)
+    edges = list(range(0, samples, step)) + [samples]
+    if edges[-1] - edges[-2] == 1:
+        del edges[-2]  # no single-row block: a one-row product takes BLAS's matrix-vector path
+    # the stored samples, and per row of the largest block the uniforms or
+    # indices, the drawn values and the vector sum
+    block = min(samples, step + 1)
+    _check_floats(samples + block * (2 * n + d), default_budget(), "the Monte Carlo samples and largest block")
     rng = np.random.Generator(np.random.Philox(seed))
     norms = np.empty(samples)
-    # the last block takes the remainder, so no block is a single row
-    edges = [i * _MC_BLOCK for i in range(max(1, samples // _MC_BLOCK))] + [samples]
     for lo, hi in zip(edges, edges[1:]):
-        u = rng.random((hi - lo, rows.shape[0]))
-        # searchsorted(cdf, u, side="right"), as rng.choice draws; u < cdf[-1] = 1
-        idx = np.zeros(u.shape, np.min_scalar_type(len(values)))
-        for c in cdf[:-1]:
-            idx += u >= c
+        # rng.choice's own map from uniforms to indices
+        idx = cdf.searchsorted(rng.random((hi - lo, n)), side="right")
         norms[lo:hi] = norm_eval_many(norm, values[idx] @ rows)
     peak = float(norms.max())
     scaled = (norms / peak) ** p if peak > 0.0 else norms

@@ -38,7 +38,6 @@ __all__ = [
 
 _MAX_GAUGE_DIM = 8
 _GAUGE_BLOCK = 1 << 20  # (points x facets) entries per gauge block: 8 MB per temporary
-_COLUMN_ROWS = 64  # below this many rows one reduce call is cheaper than a pass per column
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,12 @@ def norm_eval(spec: NormSpec, x) -> float:
 def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     # numpy adds a row of fewer than 8 entries left to right too, so the column
     # loop gives the same bits without numpy's per-row set-up on a short axis
-    if a.shape[-1] >= 8 or a.size < _COLUMN_ROWS * a.shape[-1]:
+    if a.shape[-1] >= 8:
         return op.reduce(a, axis=-1)
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         op(out, a[..., j], out=out)
-    return out
+    return out[()]  # a scalar for one point, as reduce gives
 
 
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:

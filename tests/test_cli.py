@@ -284,14 +284,15 @@ def test_memory_refusal_is_usage_error(capsys, monkeypatch, tmp_path):
 
 
 def test_monte_carlo_refusal_is_usage_error(capsys, monkeypatch, vectors_csv):
-    # 5000 stored samples exceed KHBM_BUDGET=1000: exit 2 before the first draw
+    # 5000 samples and their block exceed KHBM_BUDGET=1000: exit 2 before the first draw
     monkeypatch.setenv("KHBM_BUDGET", "1000")
     code, out, err = run_cli(
         capsys, "ipf", "--vectors", vectors_csv, "--atoms", "atoms:1,0.25", "--p", "2",
         "--norm", "lp:1:2", "--method", "mc", "--samples", "5000",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: the Monte Carlo samples need 5000 floats, exceeding budget 1000")
+    assert err.startswith("error: the Monte Carlo samples and largest block need ")
+    assert "floats, exceeding budget 1000" in err
 
 
 def test_acceptance_single_criterion(capsys):

@@ -301,8 +301,12 @@ def choice_monte_carlo(v, f, p, norm, samples, seed):
 @pytest.mark.parametrize("samples", [2, 1 << 16, (1 << 16) + 1, (1 << 17) + 1])
 @pytest.mark.parametrize("n", [3, 10, 14])
 @pytest.mark.parametrize("d", [1, 3])
-def test_monte_carlo_blocks_bitwise_equal_one_draw(samples, n, d):
-    # numpy multiplies by one column (d = 1) through BLAS's matrix-vector path, by three through matrix-matrix
+@pytest.mark.parametrize("block_rows", [None, 1 << 16])
+def test_monte_carlo_blocks_bitwise_equal_one_draw(monkeypatch, samples, n, d, block_rows):
+    # numpy multiplies by one column (d = 1) through BLAS's matrix-vector path, by three through matrix-matrix;
+    # blocks of 2^16 rows put the sample counts at, just past and one past twice a block edge
+    if block_rows is not None:
+        monkeypatch.setattr(functional, "_MC_BLOCK", block_rows * n)
     rng = np.random.default_rng(samples + n)
     v = rng.standard_normal((n, d))
     f = SymmetricAtoms(((2.0, 0.125), (1.0, 0.25)))
@@ -310,13 +314,39 @@ def test_monte_carlo_blocks_bitwise_equal_one_draw(samples, n, d):
     assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples, n)
 
 
+@pytest.mark.parametrize("samples", [2, 3, 4, 7, 8, 101])
+def test_monte_carlo_two_row_blocks_bitwise_equal_one_draw(monkeypatch, samples):
+    # the smallest blocks, two rows, with and without a one-row tail to merge;
+    # every drawn vector sum must equal the one-draw product's row
+    monkeypatch.setattr(functional, "_MC_BLOCK", 2 * 10)
+    blocks = []
+
+    def spy(norm, pts):
+        blocks.append(pts)
+        return norm_eval_many(norm, pts)
+
+    monkeypatch.setattr(functional, "norm_eval_many", spy)
+    v = np.random.default_rng(samples).standard_normal((10, 3))
+    f = SymmetricAtoms(((3.0, 0.0625), (2.0, 0.125), (1.0, 0.25)))
+    res = ipf_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples=samples, seed=7)
+    assert min(len(b) for b in blocks) >= 2
+    values, weights = _law_support(f)
+    idx = np.random.Generator(np.random.Philox(7)).choice(len(values), size=(samples, 10), p=weights)
+    assert np.concatenate(blocks).tobytes() == (values[idx] @ v).tobytes()
+    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples, 7)
+
+
 def test_monte_carlo_memory_guard(monkeypatch):
-    # the samples are counted against the budget before the first draw
-    monkeypatch.setenv("KHBM_BUDGET", "1000")
-    v = np.eye(2)
-    with pytest.raises(EnumerationBudgetError, match="Monte Carlo samples need 5000 floats"):
-        ipf_monte_carlo(v, rademacher(), 2.0, LpNorm(2.0, 2), samples=5000, seed=0)
-    assert ipf_monte_carlo(v, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0).terms_evaluated == 1000
+    # the stored samples and the largest block, (2n + d) floats a row, are
+    # counted against the budget before the first draw
+    monkeypatch.setenv("KHBM_BUDGET", str(10**5))
+    with pytest.raises(EnumerationBudgetError, match="need 1400000 floats"):
+        ipf_monte_carlo(np.eye(2), rademacher(), 2.0, LpNorm(2.0, 2), samples=200_000, seed=0)
+    # a wide n: 1000 samples fit the budget, but one block of 1000 rows of 400 draws does not
+    wide = np.ones((400, 2))
+    with pytest.raises(EnumerationBudgetError, match="need 803000 floats, exceeding budget 100000"):
+        ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0)
+    assert ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=100, seed=0).terms_evaluated == 100
 
 
 def test_monte_carlo_validation():
