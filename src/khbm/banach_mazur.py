@@ -27,7 +27,8 @@ which is scale-invariant in T (scalar multiples cancel exactly in the
 product).  Each factor is an exact maximum, never sampled: over the
 extreme points of the ball, or by duality over those of the dual of the
 target ball (``_ball_max``).  One of the two must be enumerable, which
-holds for a polytope, l^1 or l^inf body against any l^q ball.  Reported
+holds for a polytope, l^1 or l^inf body (a cube up to n = 14) against
+any l^q ball, and for two cubes of any size.  Reported
 lower bounds are clamped at 1 (a distance is never smaller); the raw
 formula value is kept alongside for transparency.
 """
@@ -334,7 +335,10 @@ def _extreme_points(spec: NormSpec) -> np.ndarray:
 
 
 def _enumerable(spec: NormSpec) -> bool:
-    return isinstance(spec, PolytopeGauge) or spec.r in (1.0, math.inf)
+    # Ext(B) can be listed: a polytope, l^1, or a cube up to _MAX_CUBE_N
+    if isinstance(spec, PolytopeGauge):
+        return True
+    return spec.r == 1.0 or (math.isinf(spec.r) and spec.dim <= _MAX_CUBE_N)
 
 
 def _ball_max(K: NormSpec, L: NormSpec, S: np.ndarray) -> float:
@@ -343,9 +347,10 @@ def _ball_max(K: NormSpec, L: NormSpec, S: np.ndarray) -> float:
     A convex function peaks at an extreme point, so this is the maximum
     over Ext(K) when K's extreme points are enumerable.  Otherwise it is
     max over Ext(B_L*) of ||S^T a||_K*, since ||S x||_L = max <a, S x>
-    over a in B_L* and the two maxima commute.
+    over a in B_L* and the two maxima commute.  A cube past the cap takes
+    the dual route when Ext(B_L*) is enumerable, else reports the cap.
     """
-    if _enumerable(K):
+    if _enumerable(K) or (math.isinf(K.r) and not _enumerable(dual_norm_spec(L))):
         return float(norm_eval_many(L, _extreme_points(K) @ S.T).max())
     return float(norm_eval_many(dual_norm_spec(K), _extreme_points(dual_norm_spec(L)) @ S).max())
 
@@ -358,8 +363,9 @@ def upper_bound_via_transform(K: NormSpec, L: NormSpec, T: np.ndarray, name: str
     (l^1, l^inf up to n = 14, a polytope gauge), else over those of the
     dual of the target ball.  The first factor needs Ext(K) or Ext(B_L*)
     enumerable and the second Ext(B_L) or Ext(K*), which holds for a
-    polytope, l^1 or l^inf body K against any l^q body L; otherwise
-    ValueError.  Both factors are exact, so ``rigorous`` is always True.
+    polytope, l^1 or l^inf body K (a cube up to n = 14) against any l^q
+    body L, and for two cubes of any size; otherwise ValueError.  Both
+    factors are exact, so ``rigorous`` is always True.
     """
     T = np.asarray(T, dtype=float)
     d = K.dim
@@ -474,6 +480,8 @@ def sandwich_report(
             kk, ll = K, L
         elif _enumerable(L):
             kk, ll = L, K
+        elif _enumerable(dual_norm_spec(K)) or _enumerable(dual_norm_spec(L)):
+            kk, ll = K, L  # cubes past the cap: _ball_max takes Ext(B_L*) or Ext(K*)
         else:
             notes.append(f"upper({tname}): neither body has enumerable extreme points")
             continue

@@ -40,15 +40,21 @@ sign table with the chunk's rows; each subset still yields its own pair,
 in ``combinations`` order, so the fold sees what a loop over single
 subsets would give.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
 samples: Philox ``random`` draws continue one stream whatever the block
-shape, and the uniforms become indices by ``searchsorted(side="right")``
-on the normalized cumulative weights, as ``Generator.choice`` maps them.
-A one-row tail joins the block before it, since a one-row product takes
-BLAS's matrix-vector path, which can round differently.  The output is
-then bitwise that of a single ``choice`` draw on BLAS builds whose
-matrix-product rows do not depend on the number of rows, as
+shape, and each uniform u becomes the support value at index
+``searchsorted(cdf, u, side="right")`` on the normalized cumulative
+weights, as ``Generator.choice`` maps it, by a guide table of
+``_MC_TABLE`` buckets over [0, 1) (Chen & Asau, AIIE Trans. 6, 1974;
+Devroye 1986, III.2.4): a bucket that no cdf point falls inside maps
+every uniform in it to one value, so only uniforms in the at most k - 1
+buckets holding a cdf point are searched.  A one-row tail joins the
+block before it, since a one-row product takes BLAS's matrix-vector
+path, which can round differently.  The output is then bitwise that of
+a single ``choice`` draw on BLAS builds whose matrix-product rows do not
+depend on the number of rows, as
 ``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  The stored
 samples and the largest block are counted against the budget before the
-first draw.
+first draw; one uniforms buffer serves every block, and the map works
+through it ``_MC_SLICE`` uniforms at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,6 +101,8 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
 _MC_BLOCK = 1 << 20  # uniforms per Monte Carlo block: each (block, n) temporary is 8 MB
+_MC_TABLE = 1 << 12  # guide-table buckets over [0, 1): a power of two, so u * B is exact
+_MC_SLICE = 1 << 14  # uniforms mapped per pass: its buckets and search temporaries stay under 0.5 MB
 _TINY = math.ulp(0.0)  # the least positive double
 
 
@@ -365,6 +373,40 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
     return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
+def _choice_map(values: np.ndarray, cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``Generator.choice``'s map from uniforms to support values, by a guide table.
+
+    choice draws index searchsorted(cdf, u, side="right").  On a bucket
+    [b/B, (b+1)/B) that no cdf point falls inside, that index is one
+    number, and the table holds its value; a bucket holding a cdf point
+    holds NaN, and its uniforms are searched.  The returned map takes a
+    C-contiguous array of uniforms in [0, 1) and overwrites it with the
+    drawn values, ``_MC_SLICE`` at a time through one bucket buffer.
+    """
+    B = _MC_TABLE
+    edges = np.arange(B + 1) / B
+    first = cdf.searchsorted(edges[:-1], side="right")
+    split = first != cdf.searchsorted(edges[1:], side="left")
+    # the bucket values, then the support itself for a searched index i at B + i
+    table = np.concatenate([np.where(split, np.nan, values[first]), values])
+    searched = bool(split.any())
+    buckets = np.empty(_MC_SLICE, dtype=np.intp)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        flat = u.reshape(-1)
+        for lo in range(0, flat.size, _MC_SLICE):
+            part = flat[lo : lo + _MC_SLICE]
+            b = buckets[: part.size]
+            np.multiply(part, B, out=b, casting="unsafe")  # u * B is exact, so this is floor(u * B)
+            if searched:
+                j = np.flatnonzero(split[b])
+                b[j] = B + cdf.searchsorted(part[j], side="right")
+            np.take(table, b, out=part, mode="clip")
+        return u
+
+    return draw
+
+
 def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int, seed: int) -> IpResult:
     """Monte Carlo I_p with a counter-based (Philox) sample stream.
 
@@ -385,16 +427,17 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     edges = list(range(0, samples, step)) + [samples]
     if edges[-1] - edges[-2] == 1:
         del edges[-2]  # no single-row block: a one-row product takes BLAS's matrix-vector path
-    # the stored samples, and per row of the largest block the uniforms or
-    # indices, the drawn values and the vector sum
+    # the stored samples, and per row of the largest block the uniforms,
+    # then the drawn values in their place, the bucket indices (a bound:
+    # the map holds one slice of them at a time) and the vector sum
     block = min(samples, step + 1)
     _check_floats(samples + block * (2 * n + d), default_budget(), "the Monte Carlo samples and largest block")
+    draw = _choice_map(values, cdf)
+    uniforms = np.empty((block, n))  # reused by every block
     rng = np.random.Generator(np.random.Philox(seed))
     norms = np.empty(samples)
     for lo, hi in zip(edges, edges[1:]):
-        # rng.choice's own map from uniforms to indices
-        idx = cdf.searchsorted(rng.random((hi - lo, n)), side="right")
-        norms[lo:hi] = norm_eval_many(norm, values[idx] @ rows)
+        norms[lo:hi] = norm_eval_many(norm, draw(rng.random(out=uniforms[: hi - lo])) @ rows)
     peak = float(norms.max())
     scaled = (norms / peak) ** p if peak > 0.0 else norms
     mean, value = _pth_and_value(peak, float(scaled.mean()), p)

@@ -128,7 +128,7 @@ def falsify_hanner(
         # per-batch draws continue the one-shot (trials, n, d) stream bitwise
         b = min(_BATCH, trials - start)
         batch = rng.standard_normal((b, n, d))
-        sums = np.einsum("pn,bnd->bpd", signs, batch)
+        sums = signs @ batch  # (b, 2^(n-1), d): one stacked product per batch
         lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
         vec_norms = norm_eval_many(norm, batch.reshape(-1, d)).reshape(b, n)
         rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)

@@ -377,6 +377,18 @@ def test_sandwich_crosspolytope_past_the_cube_cap_has_no_upper():
     assert rep.consistent
 
 
+@pytest.mark.parametrize("n", [15, 16])
+def test_sandwich_cubes_past_the_cap_take_the_dual_route(n):
+    # Ext(B_L*) of a cube is the 2n cross-polytope vertices, so both factors
+    # are exact past the cube cap: the identity gives d = 1
+    rep = sandwich_report(math.inf, math.inf, n)
+    assert rep.upper_bound is not None and rep.upper_bound.rigorous
+    assert rep.upper_bound.value == 1.0 and rep.upper_bound.transform_name == "identity"
+    assert rep.known_exact == 1.0
+    assert rep.notes == ()
+    assert rep.consistent
+
+
 def test_consistency_rule_checks_every_pair():
     def lower(value, rigorous=True):
         return LowerBound("m", value, value, None, rigorous)

@@ -10,6 +10,7 @@ from khbm.distributions import SymmetricAtoms, rademacher
 from khbm.functional import (
     EnumerationBudgetError,
     VectorTuple,
+    _choice_map,
     _law_support,
     check_argument_norm_axioms,
     check_barycenter_reduction,
@@ -334,6 +335,43 @@ def test_monte_carlo_two_row_blocks_bitwise_equal_one_draw(monkeypatch, samples)
     idx = np.random.Generator(np.random.Philox(7)).choice(len(values), size=(samples, 10), p=weights)
     assert np.concatenate(blocks).tobytes() == (values[idx] @ v).tobytes()
     assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples, 7)
+
+
+# laws for the guide table: dyadic (no bucket holds a cdf point), non-dyadic
+# (some do), a tiny mass (two cdf points inside one bucket), more than 2,048
+# atoms (nearly every bucket does) and the zero law
+GUIDE_LAWS = {
+    "dyadic": SymmetricAtoms(((2.0, 0.125), (1.0, 0.25))),
+    "non-dyadic": SymmetricAtoms(((1.0, 0.3), (0.5, 0.1))),
+    "tiny-mass": SymmetricAtoms(((1.0, 1e-300), (0.25, 1.0 / 3.0))),
+    "many-atoms": SymmetricAtoms(tuple((float(2100 - i), 1.0 / 4207.0) for i in range(2100))),
+    "zero": SymmetricAtoms(()),
+}
+
+
+@pytest.mark.parametrize("law", GUIDE_LAWS, ids=str)
+def test_choice_map_matches_searchsorted_at_every_edge(law):
+    # uniforms on every bucket edge and every cdf value, and one ulp either
+    # side of each, map to the value at searchsorted(side="right")
+    values, weights = _law_support(GUIDE_LAWS[law])
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    points = np.concatenate([np.arange(functional._MC_TABLE) / functional._MC_TABLE, cdf])
+    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    u = np.ascontiguousarray(u[(u >= 0.0) & (u < 1.0)])
+    want = values[cdf.searchsorted(u, side="right")]
+    got = _choice_map(values, cdf)(u.copy())
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", ["non-dyadic", "many-atoms", "zero"])
+def test_monte_carlo_guide_table_bitwise_equal_one_draw(monkeypatch, law):
+    # searched buckets across several blocks and several fallback slices
+    monkeypatch.setattr(functional, "_MC_BLOCK", 1 << 16)
+    v = np.random.default_rng(4).standard_normal((5, 3))
+    f = GUIDE_LAWS[law]
+    res = ipf_monte_carlo(v, f, 2.5, LpNorm(3.0, 3), samples=30_001, seed=9)
+    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 2.5, LpNorm(3.0, 3), 30_001, 9)
 
 
 def test_monte_carlo_memory_guard(monkeypatch):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from khbm import hanner
 from khbm import tolerances as tol
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
 from khbm.norms import LpNorm, norm_eval, norm_eval_many
@@ -95,6 +96,36 @@ def test_falsifier_pinned_witness():
         ["-0x1.1e4a75e9f6276p-3", "-0x1.951f0a0d6fc23p-8"],
     ]
     assert hit.witness.rows.tolist() == [[float.fromhex(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
+    # the stacked product signs @ batch, against an in-test einsum over the
+    # same batches: bitwise for d >= 2; at d = 1 numpy takes a matrix-vector
+    # path that sums in another order, so the two agree within the
+    # recursive-summation bound (n - 1) eps sum_i |x_i|
+    sums = []
+
+    def spy(norm, pts):
+        if pts.ndim == 3:
+            sums.append(pts)
+        return norm_eval_many(norm, pts)
+
+    monkeypatch.setattr(hanner, "norm_eval_many", spy)
+    trials = 300  # a full batch of 256 and a tail of 44
+    assert falsify_hanner(LpNorm(2.0, d), q=2.0, n=n, d=d, mode="type", trials=trials, seed=n + d) is None
+    rng = np.random.default_rng(n + d)
+    signs = hanner._half_signs(n)
+    for got in sums:
+        batch = rng.standard_normal((got.shape[0], n, d))
+        want = np.einsum("pn,bnd->bpd", signs, batch)
+        if d >= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            bound = (n - 1) * np.finfo(float).eps * np.abs(batch).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
+    assert sum(len(got) for got in sums) == trials
 
 
 def test_falsifier_memory_is_per_batch():
