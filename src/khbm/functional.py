@@ -34,13 +34,13 @@ tables and the largest block are counted, in float64 values, against the
 same budget as the terms.  ``hanner.hanner_gap`` uses the same kernel
 for its sign sums.
 
-The two-valued route takes the subsets of each size k lazily, in chunks
-of ``_CHUNK // 2^k``, and evaluates a chunk as one stacked product of the
-sign table with the chunk's rows; each subset still yields its own pair,
-in ``combinations`` order, so the fold sees what a loop over single
+The two-valued route cuts the subsets of each size k into chunks of
+``_CHUNK // 2^k`` consecutive colex ranks, unranked in the chunk's own
+work by the combinatorial number system, and evaluates a chunk as one
+stacked product of the sign table with the chunk's rows; each subset
+still yields its own pair, so the fold sees what a loop over single
 subsets would give.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
-samples: Philox ``random`` draws continue one stream whatever the block
-shape, and each uniform u becomes the support value at index
+samples, and each uniform u becomes the support value at index
 ``searchsorted(cdf, u, side="right")`` on the normalized cumulative
 weights, as ``Generator.choice`` maps it, by a guide table of
 ``_MC_TABLE`` buckets over [0, 1) (Chen & Asau, AIIE Trans. 6, 1974;
@@ -53,18 +53,34 @@ a single ``choice`` draw on BLAS builds whose matrix-product rows do not
 depend on the number of rows, as
 ``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  The stored
 samples and the largest block are counted against the budget before the
-first draw; one uniforms buffer serves every block, and the map works
-through it ``_MC_SLICE`` uniforms at a time.
+first draw; each block in flight has its own uniforms buffer and map,
+and the map works through the buffer ``_MC_SLICE`` uniforms at a time.
+
+The blocks of these three routes are independent, and a call of at
+least ``_PARALLEL`` (2^20) terms or uniforms runs them on up to
+``_WORKERS`` threads: the calling thread and a pool made on first use,
+one per available core, at most ``_MAX_WORKERS``.  numpy releases the
+interpreter lock inside its loops and BLAS calls, so the blocks overlap.
+Smaller calls, such as every call of the acceptance criteria and ``bm``
+reports, start no thread.  The bits cannot depend on the worker count: block edges
+depend on the input alone; each exact block's pairs go through ``_fold``,
+whose maximum and exactly rounded ``math.fsum`` ignore their order; and
+each Monte Carlo block draws from its own Philox generator, advanced by
+``lo * n // 4`` counter steps (four uniforms a step) with the remaining
+``lo * n % 4`` draws discarded, which continues the one stream exactly
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+No more blocks run at once than the budget holds copies of the counted
+block, and a call the budget refuses is refused before any thread starts.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,10 +116,13 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
-_MC_BLOCK = 1 << 20  # uniforms per Monte Carlo block: each (block, n) temporary is 8 MB
+_MC_BLOCK = 1 << 19  # uniforms per Monte Carlo block: each (block, n) temporary is 4 MB
 _MC_TABLE = 1 << 12  # guide-table buckets over [0, 1): a power of two, so u * B is exact
 _MC_SLICE = 1 << 14  # uniforms mapped per pass: its buckets and search temporaries stay under 0.5 MB
 _TINY = math.ulp(0.0)  # the least positive double
+_PARALLEL = 1 << 20  # terms from which a call's blocks run on the pool; below it a pool costs more than it saves
+_MAX_WORKERS = 4
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class EnumerationBudgetError(ValueError):
@@ -216,6 +235,68 @@ def _check_floats(floats: int, budget: int, what: str) -> None:
         raise EnumerationBudgetError(f"{what} need {floats} floats, exceeding budget {budget}")
 
 
+def _edges(total: int, step: int) -> list[int]:
+    # block edges every step rows; a one-row tail joins the block before it,
+    # since a one-row product takes BLAS's matrix-vector path, which can round differently
+    edges = list(range(0, total, step)) + [total]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
+def _lanes(blocks: int, terms: int, floats: int, budget: int) -> int:
+    """How many blocks of a call run at once.
+
+    One below the ``_PARALLEL`` gate; above it one per worker, but no more
+    than there are blocks, nor than the budget holds copies of ``floats``,
+    the call's count for one block in flight.  A call the budget refuses
+    is refused before this, whatever the worker count.
+    """
+    if blocks < 2 or terms < _PARALLEL:
+        return 1
+    return max(1, min(_WORKERS, blocks, budget // floats))
+
+
+@lru_cache(maxsize=1)
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # imported on first use, as scipy is
+
+    return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="khbm")
+
+
+def _map(fn: Callable, blocks: Sequence, lanes: int) -> list:
+    """``[fn(b) for b in blocks]``, by ``lanes`` threads taking blocks in turn.
+
+    The calling thread is one lane and pool threads are the others.  A
+    block's result depends on the block alone, so the list is the same
+    however the blocks are shared out.  Every lane ends before an error
+    from any of them is raised.
+    """
+    if lanes < 2:
+        return [fn(b) for b in blocks]
+    out = [None] * len(blocks)
+    todo, lock = iter(range(len(blocks))), threading.Lock()
+
+    def take():
+        with lock:
+            return next(todo, None)
+
+    def lane():
+        for i in iter(take, None):
+            out[i] = fn(blocks[i])
+
+    futures = [_pool().submit(lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        # a lane no pool thread has started (after a fork, none ever will) has nothing left to take
+        errors = [None if f.cancel() else f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+    return out
+
+
 @lru_cache(maxsize=64)
 def _half_table(k: int, m: int, folded: bool) -> tuple[np.ndarray, np.ndarray]:
     """Support indices of every assignment to m coordinates, and its multiplicity.
@@ -259,6 +340,11 @@ def _fold(tops: list[float], sums: list[float], p: float) -> tuple[float, float]
     return peak, math.fsum(s * (t / peak) ** p for t, s in zip(tops, sums))
 
 
+def _fold_blocks(blocks: list[tuple[list, list]], p: float) -> tuple[float, float]:
+    # the per-unit pairs of every block, folded at once
+    return _fold([t for tops, _ in blocks for t in tops], [s for _, sums in blocks for s in sums], p)
+
+
 def _pth_and_value(peak: float, scaled: float, p: float) -> tuple[float, float]:
     # M^p S overflows only when M^p itself does; M S^(1/p) never does
     if peak == 0.0 or scaled == 0.0:
@@ -290,17 +376,19 @@ def _enumerate_pth_power(
     h = max(1, n // 2)
     units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
     step = _block_rows(units, unit_len)
-    _check_floats((units + unit_len + step * unit_len) * d, budget, "the half tables and the largest block")
+    floats = (units + unit_len + step * unit_len) * d
+    _check_floats(floats, budget, "the half tables and the largest block")
     digits_a, mult = _half_table(k, h, True)
     digits_b, _ = _half_table(k, n - h, False)
     sums_a, sums_b = values[digits_a] @ rows[:h], values[digits_b] @ rows[h:]
     w_a, w_b = weights[digits_a].prod(axis=1) * mult, weights[digits_b].prod(axis=1)
-    tops, sums = [], []
-    for i in range(0, units, step):
+
+    def block(i: int) -> tuple[list, list]:
         top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[i : i + step, None, :] + sums_b), w_b, p)
-        tops += top.tolist()
-        sums += (w_a[i : i + step] * scaled).tolist()
-    return (*_fold(tops, sums, p), k**n)
+        return top.tolist(), (w_a[i : i + step] * scaled).tolist()
+
+    blocks = range(0, units, step)
+    return (*_fold_blocks(_map(block, blocks, _lanes(len(blocks), k**n, floats, budget)), p), k**n)
 
 
 def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
@@ -330,6 +418,29 @@ def _sign_matrix(k: int) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=256)
+def _binomials(n: int, i: int) -> np.ndarray:
+    table = np.array([math.comb(c, i) for c in range(n)], dtype=np.int64)
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
+
+
+def _subsets(n: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """The k-subsets of range(n) of colex ranks lo, ..., hi - 1, one ascending row each.
+
+    The subset c_1 < ... < c_k has rank sum_i C(c_i, i), so c_k is the
+    largest c with C(c, k) <= rank, and so on down (the combinatorial
+    number system; Knuth, TAOCP 4A, 7.2.1.3).
+    """
+    rank = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, k), dtype=np.intp)
+    for i in range(k, 0, -1):
+        table = _binomials(n, i)
+        out[:, i - 1] = c = table.searchsorted(rank, side="right") - 1
+        rank -= table[c]
+    return out
+
+
 def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
     """I_p for the two-valued law {(1, t)} via the subset/sign expansion.
 
@@ -354,22 +465,23 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
             "use ipf_monte_carlo instead"
         )
     # the largest sign table, k = n, and its (2^n, d) product with the rows
-    _check_floats((1 << n) * (n + rows.shape[1]), budget, "the sign table and its vector sums")
-    tops, sums = [], []
-    terms = 0
+    floats = (1 << n) * (n + rows.shape[1])
+    _check_floats(floats, budget, "the sign table and its vector sums")
+    chunks = []  # (k, coefficient, first rank, end rank) over every k
     for k in range(1, n + 1):
         coef = t**k * w0 ** (n - k)
-        if coef == 0.0:
-            continue
-        signs = _sign_matrix(k)
-        subsets = combinations(range(n), k)
-        while chunk := list(islice(subsets, max(1, _CHUNK >> k))):
-            norms = norm_eval_many(norm, signs @ rows[np.array(chunk)])
-            top = norms.max(axis=1)
-            tops += top.tolist()
-            sums += (coef * ((norms / np.maximum(top, _TINY)[:, None]) ** p).sum(axis=1)).tolist()
-            terms += norms.size
-    pth, value = _pth_and_value(*_fold(tops, sums, p), p)
+        if coef != 0.0:
+            count, step = math.comb(n, k), max(1, _CHUNK >> k)
+            chunks += [(k, coef, lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+    def chunk(unit: tuple[int, float, int, int]) -> tuple[list, list]:
+        k, coef, lo, hi = unit
+        norms = norm_eval_many(norm, _sign_matrix(k) @ rows[_subsets(n, k, lo, hi)])
+        top = norms.max(axis=1)
+        return top.tolist(), (coef * ((norms / np.maximum(top, _TINY)[:, None]) ** p).sum(axis=1)).tolist()
+
+    terms = sum((hi - lo) << k for k, _, lo, hi in chunks)
+    pth, value = _pth_and_value(*_fold_blocks(_map(chunk, chunks, _lanes(len(chunks), terms, floats, budget)), p), p)
     return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
@@ -424,20 +536,29 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     cdf /= cdf[-1]
     n, d = rows.shape
     step = max(2, _MC_BLOCK // n)
-    edges = list(range(0, samples, step)) + [samples]
-    if edges[-1] - edges[-2] == 1:
-        del edges[-2]  # no single-row block: a one-row product takes BLAS's matrix-vector path
+    edges = _edges(samples, step)
     # the stored samples, and per row of the largest block the uniforms,
     # then the drawn values in their place, the bucket indices (a bound:
     # the map holds one slice of them at a time) and the vector sum
-    block = min(samples, step + 1)
-    _check_floats(samples + block * (2 * n + d), default_budget(), "the Monte Carlo samples and largest block")
-    draw = _choice_map(values, cdf)
-    uniforms = np.empty((block, n))  # reused by every block
-    rng = np.random.Generator(np.random.Philox(seed))
+    block, budget = min(samples, step + 1), default_budget()
+    floats = samples + block * (2 * n + d)
+    _check_floats(floats, budget, "the Monte Carlo samples and largest block")
+    lanes = _lanes(len(edges) - 1, samples * n, floats, budget)
+    # one uniforms buffer and one map (its bucket buffer) per block in flight
+    free = [(u, _choice_map(values, cdf)) for u in np.empty((lanes, block, n))]
     norms = np.empty(samples)
-    for lo, hi in zip(edges, edges[1:]):
-        norms[lo:hi] = norm_eval_many(norm, draw(rng.random(out=uniforms[: hi - lo])) @ rows)
+
+    def draw_block(lo_hi: tuple[int, int]) -> None:
+        lo, hi = lo_hi
+        u, draw = free.pop()
+        bits = np.random.Philox(seed)
+        bits.advance(lo * n // 4)  # a Philox counter step gives four 64-bit draws, one per uniform
+        bits.random_raw(lo * n % 4)
+        norms[lo:hi] = norm_eval_many(norm, draw(np.random.Generator(bits).random(out=u[: hi - lo])) @ rows)
+        free.append((u, draw))
+
+    _map(draw_block, list(zip(edges, edges[1:])), lanes)
+    free.clear()  # the uniforms go before the statistics' temporaries come
     peak = float(norms.max())
     scaled = (norms / peak) ** p if peak > 0.0 else norms
     mean, value = _pth_and_value(peak, float(scaled.mean()), p)

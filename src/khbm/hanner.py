@@ -31,13 +31,23 @@ from typing import Optional
 import numpy as np
 
 from . import tolerances as tol
-from .functional import VectorTuple, _as_rows, _check_dims, _enumerate_pth_power, _pth_and_value, _sign_matrix
+from .functional import (
+    VectorTuple,
+    _as_rows,
+    _check_dims,
+    _check_floats,
+    _edges,
+    _enumerate_pth_power,
+    _pth_and_value,
+    _sign_matrix,
+    default_budget,
+)
 from .norms import LpNorm, NormSpec, norm_eval_many
 
 __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", "falsify_hanner", "hlawka_check"]
 
 _MAX_N = 20
-_BATCH = 256
+_ROWS = 1 << 14  # sign-sum rows per falsifier batch: its (rows, d) sums stay at a few hundred KB
 _SIGNS, _HALVES = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
 _ABS = LpNorm(1.0, 1)  # |t| on the real line
 
@@ -122,11 +132,17 @@ def falsify_hanner(
         raise ValueError("trials must be >= 1")
     if not q >= 1.0:
         raise ValueError(f"need q >= 1, got {q}")
+    half = 1 << (n - 1)
+    per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
+    edges = _edges(trials, per)
+    # the sign table, and per sign row of the largest batch its vector sum and both sides' terms
+    floats = half * n + min(trials, per + 1) * half * (d + 2)
+    _check_floats(floats, default_budget(), "the sign table and largest batch")
     rng = np.random.default_rng(seed)
     signs = _half_signs(n)
-    for start in range(0, trials, _BATCH):
+    for start, stop in zip(edges, edges[1:]):
         # per-batch draws continue the one-shot (trials, n, d) stream bitwise
-        b = min(_BATCH, trials - start)
+        b = stop - start
         batch = rng.standard_normal((b, n, d))
         sums = signs @ batch  # (b, 2^(n-1), d): one stacked product per batch
         lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)

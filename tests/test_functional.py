@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,6 +387,135 @@ def test_monte_carlo_memory_guard(monkeypatch):
     with pytest.raises(EnumerationBudgetError, match="need 803000 floats, exceeding budget 100000"):
         ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0)
     assert ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=100, seed=0).terms_evaluated == 100
+
+
+def test_subsets_are_the_combinations_in_colex_order():
+    # colex order: sorted by the reversed subset, which ranks c_1 < ... < c_k at sum_i C(c_i, i)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            want = sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
+            assert functional._subsets(n, k, 0, len(want)).tolist() == [list(c) for c in want]
+            assert functional._subsets(n, k, len(want) // 2, len(want)).tolist() == [
+                list(c) for c in want[len(want) // 2 :]
+            ]
+
+
+# inputs of every route above the 2^20-term gate, in several blocks; the
+# Monte Carlo law is non-dyadic, so some of its guide-table buckets are searched
+_V20, _V13, _V3 = (np.random.default_rng(31 + n).standard_normal((n, 3 if n < 20 else 2)) for n in (20, 13, 3))
+_MC_LAW = SymmetricAtoms(((1.0, 0.3), (0.5, 0.1)))
+
+
+def _parallel_outputs(monkeypatch):
+    # 50,000-row Monte Carlo blocks of n = 3: block starts lo * 3 leave every remainder mod 4,
+    # and 350,001 samples end in a one-row tail that joins the block before it
+    monkeypatch.setattr(functional, "_MC_BLOCK", 3 * 50_000)
+    return (
+        ipf_exact(_V20, rademacher(), 3.0, LpNorm(1.5, 2)),
+        hanner_gap(LpNorm(3.0, 2), _V20, 1.5),
+        ipf_two_valued_exact(_V13, 0.25, 2.5, LpNorm(math.inf, 3)),
+        ipf_monte_carlo(_V3, _MC_LAW, 2.5, LpNorm(3.0, 3), samples=350_001, seed=5),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_outputs_do_not_depend_on_worker_count(monkeypatch, workers):
+    lanes = []
+    real_map = functional._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(functional, "_map", spy)
+    monkeypatch.setattr(functional, "_WORKERS", 1)
+    base = _parallel_outputs(monkeypatch)
+    assert set(lanes) == {1}
+    lanes.clear()
+    monkeypatch.setattr(functional, "_WORKERS", workers)
+    assert _parallel_outputs(monkeypatch) == base  # bitwise
+    assert len(lanes) == 5 and set(lanes) == {workers}  # hanner_gap makes two kernel calls
+
+
+def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
+    # more lanes than cores, forced to interleave: a lost result slot, a shared
+    # uniforms buffer or a shared bucket buffer would change the outputs
+    monkeypatch.setattr(functional, "_WORKERS", 1)
+    base = _parallel_outputs(monkeypatch)
+    monkeypatch.setattr(functional, "_WORKERS", functional._MAX_WORKERS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _parallel_outputs(monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == base
+
+
+
+def test_lanes_no_pool_thread_starts_still_end(monkeypatch):
+    # a forked child inherits the pool without its threads: its lanes never
+    # start, and the calling thread takes every block and does not wait for them
+    from concurrent.futures import Future
+
+    class Stalled:
+        def submit(self, fn):
+            return Future()
+
+    monkeypatch.setattr(functional, "_pool", Stalled)
+    assert functional._map(lambda b: b * b, range(10), 3) == [b * b for b in range(10)]
+
+def test_parallel_monte_carlo_is_one_draw(monkeypatch):
+    # per-block Philox streams, advanced past the uniforms before each block, are the one stream
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    *_, res = _parallel_outputs(monkeypatch)
+    want = choice_monte_carlo(_V3, _MC_LAW, 2.5, LpNorm(3.0, 3), 350_001, 5)
+    assert (res.value, res.pth_power, res.stderr) == want
+
+
+def test_budget_refusals_come_before_any_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("a refused call started the pool")
+
+    monkeypatch.setattr(functional, "_pool", no_pool)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    # 2^20 terms fit each budget, but the floats do not
+    with pytest.raises(EnumerationBudgetError, match="floats"):
+        ipf_exact(np.ones((20, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=1_100_000)
+    with pytest.raises(EnumerationBudgetError, match="floats"):
+        ipf_two_valued_exact(np.ones((13, 300)), 0.25, 2.0, LpNorm(2.0, 300), budget=2_000_000)
+    monkeypatch.setenv("KHBM_BUDGET", str(10**6))
+    with pytest.raises(EnumerationBudgetError, match="floats"):
+        ipf_monte_carlo(np.eye(3), rademacher(), 2.0, LpNorm(2.0, 3), samples=400_000, seed=0)
+
+
+def test_blocks_in_flight_fit_the_budget(monkeypatch):
+    # above the gate, but the budget holds one block of 20 x 50 sums in flight, not two: no pool
+    def no_pool():
+        raise AssertionError("two blocks in flight would exceed the budget")
+
+    v = np.random.default_rng(3).standard_normal((20, 50))
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    want = ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50))
+    monkeypatch.setattr(functional, "_pool", no_pool)
+    assert ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50), budget=2_000_000) == want
+
+
+def test_small_work_starts_no_threads():
+    # importing khbm loads no pool machinery, and the command line's everyday
+    # calls stay below the gate, so no thread (nor its malloc arena) is started
+    code = (
+        "import sys, threading, io, contextlib\n"
+        "import khbm\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "from khbm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['acceptance', '--seed', '0']), main(['bm', '--pair', '1', '3', '6'])]\n"
+        "print(codes, threading.active_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "1"]
 
 
 def test_monte_carlo_validation():

@@ -7,6 +7,7 @@ import pytest
 
 from khbm import hanner
 from khbm import tolerances as tol
+from khbm.functional import EnumerationBudgetError
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
 from khbm.norms import LpNorm, norm_eval, norm_eval_many
 
@@ -113,7 +114,7 @@ def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
         return norm_eval_many(norm, pts)
 
     monkeypatch.setattr(hanner, "norm_eval_many", spy)
-    trials = 300  # a full batch of 256 and a tail of 44
+    trials = 300  # one batch up to n = 7; at n = 8 and 12, batches of 2^14 sign rows and a shorter tail
     assert falsify_hanner(LpNorm(2.0, d), q=2.0, n=n, d=d, mode="type", trials=trials, seed=n + d) is None
     rng = np.random.default_rng(n + d)
     signs = hanner._half_signs(n)
@@ -138,6 +139,32 @@ def test_falsifier_memory_is_per_batch():
         tracemalloc.stop()
     assert hit is None
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(("n", "trials"), [(2, 8193), (3, 4097), (5, 1), (16, 5)])
+def test_falsifier_batches_count_sign_rows(monkeypatch, n, trials):
+    # batches hold about 2^14 sign-sum rows, whatever n; a one-trial tail joins
+    # the batch before it, since a one-row product takes BLAS's matrix-vector path
+    batches = []
+
+    def spy(norm, pts):
+        if pts.ndim == 3:
+            batches.append(pts.shape[0])
+        return norm_eval_many(norm, pts)
+
+    monkeypatch.setattr(hanner, "norm_eval_many", spy)
+    assert falsify_hanner(LpNorm(2.0, 2), q=2.0, n=n, d=2, mode="type", trials=trials, seed=n) is None
+    per = max(2, hanner._ROWS >> (n - 1))
+    assert sum(batches) == trials
+    assert all(b == per for b in batches[:-1]) and batches[-1] <= per + 1
+    assert trials == 1 or min(batches) >= 2
+
+
+def test_falsifier_budget_counts_sign_table_and_batch(monkeypatch):
+    # at n = 20: the 2^19 x 20 sign table, and three trials (two and the one-trial tail) of 2^19 rows x (d + 2)
+    monkeypatch.setenv("KHBM_BUDGET", str(10**7))
+    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 18350080 floats"):
+        falsify_hanner(LpNorm(2.0, 3), q=2.0, n=20, d=3, mode="type", trials=3, seed=0)
 
 
 def test_falsifier_quiet_on_consistent_claims():
