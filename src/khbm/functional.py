@@ -34,6 +34,22 @@ tables and the largest block are counted, in float64 values, against the
 same budget as the terms.  ``hanner.hanner_gap`` uses the same kernel
 for its sign sums.
 
+The kernel has a leading stack axis: it takes B tuples (B, n, d) with
+one support (k,) or one per tuple (B, k), and returns one pair per
+tuple.  ``ipf_exact`` and ``hanner`` pass B = 1; ``_ipf_exact_many``
+passes the cases of one n, support size and p, which is how the
+acceptance suites that make thousands of tiny calls evaluate them.  A
+block is either a unit range of one tuple, as above, or, when a tuple
+fits in one block, as many whole tuples as ``_CHUNK`` terms and the
+budget hold; a stack shrinks its blocks to one tuple before refusing, so
+the budget a stack needs is that of one of its tuples.  Each tuple is
+still folded from its own units, so the stack is bitwise one call per
+tuple.  Two things stay as they are for that: p is one scalar per stack,
+since numpy's ``power`` takes a square or square-root path for a scalar
+2 or 1/2 that an array of exponents does not; and ``_fold`` stays in
+Python ``**`` and ``math.fsum``, since numpy's ``power`` and Python's
+float ``**`` differ in the last bit on about 5% of inputs.
+
 The two-valued route cuts the subsets of each size k into chunks of
 ``_CHUNK // 2^k`` consecutive colex ranks, unranked in the chunk's own
 work by the combinatorial number system, and evaluates a chunk as one
@@ -79,7 +95,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -360,35 +376,63 @@ def _pth_and_value(peak: float, scaled: float, p: float) -> tuple[float, float]:
 
 def _enumerate_pth_power(
     rows: np.ndarray, values: np.ndarray, weights: np.ndarray, p: float, norm: NormSpec, budget: int | None = None
-) -> tuple[float, float, int]:
-    """Meet-in-the-middle sum over all k^n support assignments of w ||sum c_i v_i||^p.
+) -> tuple[list[tuple[float, float]], int]:
+    """Meet-in-the-middle sums over all k^n support assignments of w ||sum c_i v_i||^p, one per tuple.
 
-    Returns (M, S, k^n) with sum = M^p S, M the largest norm.  The first
-    h coordinates and the rest are enumerated once each as half tables of
-    partial sums and weights; a unit is one row of the first table against
-    the whole second table, evaluated by a broadcast outer sum.  The law is
-    symmetric, so the first coordinate runs over {0} and the positive
-    levels only and a nonzero first value counts twice (c and -c have
-    equal weights and norms).  ``values`` must be ascending.
+    ``rows`` is a (B, n, d) stack of tuples; ``values`` and ``weights`` are
+    one ascending support (k,) for the whole stack or one per tuple (B, k);
+    ``p`` is one scalar.  Returns a pair (M, S) per tuple, with sum = M^p S
+    and M the tuple's largest norm, and k^n.  The first h coordinates and
+    the rest are enumerated once each as half tables of partial sums and
+    weights; a unit is one row of the first table against the whole second
+    table, evaluated by a broadcast outer sum.  The law is symmetric, so
+    the first coordinate runs over {0} and the positive levels only and a
+    nonzero first value counts twice (c and -c have equal weights and
+    norms).  A block is either a unit range of one tuple or, when a tuple
+    fits in one, as many whole tuples as ``_CHUNK`` and the budget hold.
     """
     budget = default_budget() if budget is None else budget
-    n, d, k = rows.shape[0], rows.shape[1], len(values)
+    count, n, d = rows.shape
+    k = values.shape[-1]
     h = max(1, n // 2)
     units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
     step = _block_rows(units, unit_len)
-    floats = (units + unit_len + step * unit_len) * d
+    floats = (units + unit_len + step * unit_len) * d  # one tuple's half tables and largest block
     _check_floats(floats, budget, "the half tables and the largest block")
+    per = 1 if step < units else min(count, max(1, _CHUNK // (units * unit_len)), budget // floats)
     digits_a, mult = _half_table(k, h, True)
     digits_b, _ = _half_table(k, n - h, False)
-    sums_a, sums_b = values[digits_a] @ rows[:h], values[digits_b] @ rows[h:]
-    w_a, w_b = weights[digits_a].prod(axis=1) * mult, weights[digits_b].prod(axis=1)
 
-    def block(i: int) -> tuple[list, list]:
-        top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[i : i + step, None, :] + sums_b), w_b, p)
-        return top.tolist(), (w_a[i : i + step] * scaled).tolist()
+    def block(tables: tuple, i: int) -> tuple[list, list]:
+        sums_a, sums_b, w_a, w_b = tables
+        top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[:, i : i + step, None] + sums_b[:, None]), w_b, p)
+        return top.tolist(), (w_a[..., i : i + step] * scaled).tolist()
 
-    blocks = range(0, units, step)
-    return (*_fold_blocks(_map(block, blocks, _lanes(len(blocks), k**n, floats, budget)), p), k**n)
+    pairs = []
+    for a in range(0, count, per):
+        b = min(a + per, count)
+        vals, wts = (values, weights) if values.ndim == 1 else (values[a:b], weights[a:b])
+        # take keeps a gathered stack C-contiguous: numpy multiplies a strided one without BLAS, rounding differently
+        sums_a, sums_b = vals.take(digits_a, -1) @ rows[a:b, :h], vals.take(digits_b, -1) @ rows[a:b, h:]
+        w_a = wts.take(digits_a, -1).prod(axis=-1) * mult
+        w_b = wts.take(digits_b, -1).prod(axis=-1)[..., None, :]
+        starts = range(0, units, step)
+        parts = _map(partial(block, (sums_a, sums_b, w_a, w_b)), starts, _lanes(len(starts), k**n, floats, budget))
+        pairs += [_fold_blocks([(tops[j], sums[j]) for tops, sums in parts], p) for j in range(b - a)]
+    return pairs, k**n
+
+
+def _check_terms(k: int, n: int, budget: int) -> None:
+    if k**n > budget:
+        raise EnumerationBudgetError(
+            f"{k}^{n} = {k**n} weighted terms exceed budget {budget}; "
+            "use ipf_monte_carlo instead"
+        )
+
+
+def _exact_result(peak: float, scaled: float, p: float, terms: int) -> IpResult:
+    pth, value = _pth_and_value(peak, scaled, p)
+    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
 def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
@@ -399,15 +443,37 @@ def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None
     _check_dims(rows, norm)
     budget = default_budget() if budget is None else budget
     values, weights = _sorted_support(f)
-    k, n = len(values), rows.shape[0]
-    if k**n > budget:
-        raise EnumerationBudgetError(
-            f"{k}^{n} = {k**n} weighted terms exceed budget {budget}; "
-            "use ipf_monte_carlo instead"
-        )
-    peak, scaled, terms = _enumerate_pth_power(rows, values, weights, p, norm, budget)
-    pth, value = _pth_and_value(peak, scaled, p)
-    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
+    _check_terms(len(values), rows.shape[0], budget)
+    [(peak, scaled)], terms = _enumerate_pth_power(rows[None], values, weights, p, norm, budget)
+    return _exact_result(peak, scaled, p, terms)
+
+
+def _ipf_exact_many(cases: Sequence[tuple[np.ndarray, SymmetricAtoms, float]], norm: NormSpec) -> list[IpResult]:
+    """``[ipf_exact(v, f, p, norm) for v, f, p in cases]``, bitwise, by stacks of one shape.
+
+    Each v is a finite (n, d) array with d the norm's dimension, as
+    ``_as_rows`` and ``_check_dims`` ensure for ``ipf_exact``.  The cases
+    of one n, support size and p form one stack of the kernel, each with
+    its own law.  Stacks run in the order of their first case:
+    a refusal depends on the shape alone, so it is the one that the first
+    refused case would raise in a loop of ``ipf_exact`` calls.
+    """
+    budget = default_budget()
+    supports = [_sorted_support(f) for _, f, _ in cases]
+    stacks: dict[tuple, list[int]] = {}
+    for i, ((v, _, p), (values, _)) in enumerate(zip(cases, supports)):
+        stacks.setdefault((len(v), len(values), p), []).append(i)
+    out = [None] * len(cases)
+    for (n, k, p), idx in stacks.items():
+        if not p >= 1.0:
+            raise ValueError(f"need p >= 1, got {p}")
+        _check_terms(k, n, budget)
+        rows = np.stack([cases[i][0] for i in idx])
+        values, weights = (np.stack([supports[i][j] for i in idx]) for j in (0, 1))
+        pairs, terms = _enumerate_pth_power(rows, values, weights, p, norm, budget)
+        for i, (peak, scaled) in zip(idx, pairs):
+            out[i] = _exact_result(peak, scaled, p, terms)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -646,15 +712,16 @@ def check_value_norm_axioms(
     tri_viol = 0.0
     min_pos = math.inf
     passed = True
+    lams, cases = [], []
     for _ in range(trials):
         n = int(rng.integers(1, 5))
         u = rng.standard_normal((n, d))
         v = rng.standard_normal((n, d))
         lam = float(rng.uniform(-2.0, 2.0))
-        iv = ipf_exact(v, f, p, norm).value
-        iu = ipf_exact(u, f, p, norm).value
-        ilam = ipf_exact(lam * v, f, p, norm).value
-        isum = ipf_exact(u + v, f, p, norm).value
+        lams.append(lam)
+        cases += [(v, f, p), (u, f, p), (lam * v, f, p), (u + v, f, p)]
+    values = [res.value for res in _ipf_exact_many(cases, norm)]
+    for lam, iv, iu, ilam, isum in zip(lams, *[iter(values)] * 4):
         scale = max(abs(lam) * iv, ilam, 1e-300)
         hom_err = max(hom_err, abs(ilam - abs(lam) * iv) / scale)
         tri_viol = max(tri_viol, (isum - (iu + iv)) / max(isum, iu + iv, 1e-300))
@@ -723,12 +790,14 @@ def check_argument_norm_axioms(
     hom_err = 0.0
     min_pos = math.inf
     passed = True
+    ks, cases = [], []
     for _ in range(trials):
         f = _random_law(rng, max_atoms=2)
         k = float(rng.uniform(0.1, 2.0))
-        base = ipf_exact(rows, f, p, norm).value
-        scaled_law = SymmetricAtoms(tuple((k * a, t) for a, t in f.atoms))
-        scaled = ipf_exact(rows, scaled_law, p, norm).value
+        ks.append(k)
+        cases += [(rows, f, p), (rows, SymmetricAtoms(tuple((k * a, t) for a, t in f.atoms)), p)]
+    values = [res.value for res in _ipf_exact_many(cases, norm)]
+    for k, base, scaled in zip(ks, *[iter(values)] * 2):
         scale = max(scaled, k * base, 1e-300)
         hom_err = max(hom_err, abs(scaled - k * base) / scale)
         min_pos = min(min_pos, base)

@@ -54,7 +54,7 @@ _ABS = LpNorm(1.0, 1)  # |t| on the real line
 
 def _sign_sum(rows: np.ndarray, q: float, norm: NormSpec) -> float:
     # sum over all 2^n sign vectors = 2^n I_q(rows, Rademacher)^q
-    peak, scaled, _ = _enumerate_pth_power(rows, _SIGNS, _HALVES, q, norm)
+    [(peak, scaled)], _ = _enumerate_pth_power(rows[None], _SIGNS, _HALVES, q, norm)
     return _pth_and_value(peak, scaled, q)[0] * 2.0 ** rows.shape[0]
 
 

@@ -4,9 +4,12 @@ One pytest case per criterion, so `pytest -v` prints one pass/fail line
 each; the same functions back the CLI `acceptance` subcommand.
 """
 
+import tracemalloc
+
 import pytest
 
 from khbm.acceptance import criterion_ids, run_criterion
+from khbm.cli import main
 
 BASE_SEED = 0
 
@@ -50,3 +53,32 @@ def test_unknown_criterion_rejected():
 
 def test_criterion_ids_are_one_to_ten():
     assert criterion_ids() == tuple(range(1, 11))
+
+
+@pytest.mark.parametrize(
+    "cid, budget, error",
+    [
+        (10, 1245, "the half tables and the largest block need 1245 floats, exceeding budget 1244"),
+        (2, 256, "2^8 = 256 weighted terms exceed budget 255; use ipf_monte_carlo instead"),
+    ],
+)
+def test_stacked_criteria_need_the_budget_of_their_largest_case(monkeypatch, capsys, cid, budget, error):
+    # a stack shrinks its blocks down to one tuple, so the smallest passing budget is
+    # that of one call per case, and a refusal names the same case
+    argv = ["acceptance", "--seed", str(BASE_SEED), "--criterion", str(cid)]
+    monkeypatch.setenv("KHBM_BUDGET", str(budget - 1))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    monkeypatch.setenv("KHBM_BUDGET", str(budget))
+    assert main(argv) == 0
+
+
+def test_stacked_criterion_memory():
+    # the stacks are evaluated block by block: whole groups at once would hold every case's sums
+    tracemalloc.start()
+    try:
+        run_criterion(10, BASE_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000

@@ -13,6 +13,7 @@ from khbm.functional import (
     EnumerationBudgetError,
     VectorTuple,
     _choice_map,
+    _ipf_exact_many,
     _law_support,
     check_argument_norm_axioms,
     check_barycenter_reduction,
@@ -115,6 +116,57 @@ def test_results_do_not_depend_on_block_size(monkeypatch, chunk):
     base = outputs()
     monkeypatch.setattr(functional, "_CHUNK", chunk)
     assert outputs() == base  # bitwise
+
+
+def _stack_cases(rng, n, d, count):
+    # per-tuple laws of 1-3 atoms (1 from n = 5 on, to keep 7^n small) or the fair sign,
+    # rows at unit scale, at 1e+-150, or zero; p from {1, 2, 2.5, 300}
+    cases = []
+    for _ in range(count):
+        law = rademacher() if rng.random() < 0.2 else functional._random_law(rng, 3 if n <= 4 else 1)
+        scale = (1.0, 1e150, 1e-150, 0.0)[rng.integers(4)]
+        cases.append((scale * rng.standard_normal((n, d)), law, (1.0, 2.0, 2.5, 300.0)[rng.integers(4)]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 64, 7, 1])
+def test_stacks_bitwise_equal_one_call_per_tuple(monkeypatch, chunk):
+    # at chunk 64 a block holds several whole tuples, at 7 and 1 a tuple spans blocks
+    if chunk is not None:
+        monkeypatch.setattr(functional, "_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        for i, r in enumerate((1.0, 1.5, 2.0, 3.0, math.inf)):
+            norm = LpNorm(r, 1 + (n + i) % 3)
+            cases = _stack_cases(rng, n, norm.dim, 24)  # mixed support sizes and p: several stacks
+            assert _ipf_exact_many(cases, norm) == [ipf_exact(v, f, p, norm) for v, f, p in cases]
+
+
+@pytest.mark.parametrize("size", [1, 9, 10, 11])
+def test_stack_sizes_around_a_block_edge(monkeypatch, size):
+    # a one-atom law at n = 2 has 2 x 3 terms per tuple, so a 64-term block holds 10 tuples
+    monkeypatch.setattr(functional, "_CHUNK", 64)
+    blocks = []
+    real_norms = functional.norm_eval_many
+
+    def spy(norm, pts):
+        blocks.append(pts.shape[0])
+        return real_norms(norm, pts)
+
+    law, norm = SymmetricAtoms(((1.3, 0.2),)), LpNorm(3.0, 2)
+    cases = [(v, law, 2.5) for v in np.random.default_rng(size).standard_normal((size, 2, 2))]
+    want = [ipf_exact(v, f, p, norm) for v, f, p in cases]
+    monkeypatch.setattr(functional, "norm_eval_many", spy)
+    assert _ipf_exact_many(cases, norm) == want
+    assert blocks == [10] * (size // 10) + [size % 10] * (size % 10 > 0)
+
+
+def test_stack_refusal_names_the_first_refused_case(monkeypatch):
+    # stacks run in the order of their first case, as one call per case would refuse
+    monkeypatch.setenv("KHBM_BUDGET", "100")
+    cases = [(np.ones((n, 1)), rademacher(), 2.0) for n in (8, 2, 7, 8)]
+    with pytest.raises(EnumerationBudgetError, match=r"^2\^8 = 256 weighted terms exceed budget 100;"):
+        _ipf_exact_many(cases, LpNorm(2.0, 1))
 
 
 @pytest.mark.filterwarnings("error")
