@@ -6,16 +6,39 @@ criteria stay independent: rerunning one never perturbs another.  The
 suite doubles as the CLI ``acceptance`` subcommand and as the backing
 for the pytest acceptance module, so both surfaces agree by
 construction.
+
+``run_criteria`` runs a list of criteria in lanes, one per available
+core (``functional._WORKERS``) and no more than there are distinct
+criteria: the calling process is one lane and ``os.fork()``ed children
+are the others.  The lanes share a queue, a pipe holding one byte per
+criterion in id order, and each takes its next criterion until the pipe
+is empty.  A child sends each result it finishes through its own pipe
+and leaves with ``os._exit``, so it never returns into the caller,
+flushes inherited stdio or runs exit hooks.  Processes, not threads,
+because the criteria's tiny calls hold the interpreter lock; a fork,
+not a fresh interpreter, because it costs no start-up or import.  The
+suite falls back to the serial loop when the platform cannot fork, when
+other threads are alive (a child could deadlock on a lock held by a
+thread that does not exist in it) or when one lane would do.  The bits
+cannot change: a result depends on its criterion id and base seed
+alone, not on the lane or the order that ran it, and any criterion
+whose result did not arrive, because it raised or its child died, is
+run again by the caller in serial order, so an error is the one the
+serial loop raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import functional
 from . import tolerances as tol
 from .banach_mazur import corollary1_lower, sandwich_report, theorem2_cotype_lower
 from .combinatorics import SubsetRatioInput, subset_power_ratio, verify_lemma1
@@ -36,7 +59,7 @@ from .functional import (
 from .hanner import falsify_hanner, hanner_gap, hlawka_check
 from .norms import LpNorm
 
-__all__ = ["CriterionResult", "criterion_ids", "run_criterion"]
+__all__ = ["CriterionResult", "criterion_ids", "run_criteria", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -350,9 +373,91 @@ def criterion_ids() -> tuple[int, ...]:
     return tuple(cid for cid, _, _ in _CRITERIA)
 
 
+def _unknown(cid: int) -> ValueError:
+    return ValueError(f"unknown criterion id {cid}; valid ids are 1..{len(_CRITERIA)}")
+
+
 def run_criterion(cid: int, base_seed: int = 0) -> CriterionResult:
     for k, name, fn in _CRITERIA:
         if k == cid:
             passed, detail = fn(_subseed(base_seed, k))
             return CriterionResult(cid=k, name=name, passed=passed, detail=detail)
-    raise ValueError(f"unknown criterion id {cid}; valid ids are 1..{len(_CRITERIA)}")
+    raise _unknown(cid)
+
+
+def run_criteria(ids: Sequence[int], base_seed: int = 0) -> list[CriterionResult]:
+    """``[run_criterion(c, base_seed) for c in ids]``, in lanes of forked processes.
+
+    Every id is checked before any criterion runs.  A repeated id
+    repeats its result, not its work.
+    """
+    for cid in ids:
+        if cid not in criterion_ids():
+            raise _unknown(cid)
+    todo = list(dict.fromkeys(ids))
+    lanes = min(functional._WORKERS, len(todo))
+    done: dict[int, CriterionResult] = {}
+    if lanes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        _run_lanes(todo, base_seed, lanes, done)
+    for cid in todo:  # what no lane delivered, in serial order: an error raises here again
+        if cid not in done:
+            done[cid] = run_criterion(cid, base_seed)
+    return [done[cid] for cid in ids]
+
+
+def _run_lanes(todo: list[int], base_seed: int, lanes: int, done: dict[int, CriterionResult]) -> None:
+    """Fill ``done`` from ``lanes`` processes that share the criteria of ``todo``."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(todo))))  # at most ten bytes, far below a pipe's capacity
+    os.close(feed)
+
+    def lane(deliver: Callable[[CriterionResult], object]) -> None:
+        for index in iter(lambda: os.read(queue, 1), b""):
+            deliver(run_criterion(todo[index[0]], base_seed))
+
+    children: list[int] = []  # pids not yet reaped
+    pipes: list[int] = []  # read ends of their result pipes not yet closed
+    try:
+        for _ in range(lanes - 1):
+            out, into = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(out)
+                    with os.fdopen(into, "wb") as sink:
+
+                        def send(res: CriterionResult) -> None:
+                            pickle.dump(res, sink)
+                            sink.flush()
+
+                        lane(send)
+                finally:
+                    os._exit(0)
+            os.close(into)
+            children.append(pid)
+            pipes.append(out)
+        try:
+            lane(lambda res: done.__setitem__(res.cid, res))
+        except Exception:
+            pass  # run_criteria runs it again in serial order, which raises it again
+        while pipes:
+            with os.fdopen(pipes.pop(), "rb") as source:
+                while True:
+                    try:
+                        res = pickle.load(source)
+                    except (EOFError, pickle.UnpicklingError):  # the end, or a child cut short
+                        break
+                    done[res.cid] = res
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
+    finally:
+        os.close(queue)
+        for out in pipes:  # left only when unwinding: an error or an interrupt
+            os.close(out)
+        if children:
+            from signal import SIGKILL
+
+            for pid in children:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import tolerances as tol
-from .acceptance import criterion_ids, run_criterion
+from .acceptance import criterion_ids, run_criteria
 from .banach_mazur import BMBoundReport, _check_sandwich_n, _consistent, hadamard_matrix, sandwich_report
 from .combinatorics import SubsetRatioInput, verify_lemma1
 from .constants import khinchine_constants
@@ -327,7 +327,7 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
 
 def _run_acceptance(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
     ids = args.criterion if args.criterion else list(criterion_ids())
-    results = [run_criterion(cid, args.seed) for cid in ids]
+    results = run_criteria(ids, args.seed)
     rows: list[Sequence[str]] = [("criterion", "name", "passed", "detail")]
     for r in results:
         rows.append((str(r.cid), r.name, str(r.passed), r.detail))

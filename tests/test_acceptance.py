@@ -4,11 +4,17 @@ One pytest case per criterion, so `pytest -v` prints one pass/fail line
 each; the same functions back the CLI `acceptance` subcommand.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
 
-from khbm.acceptance import criterion_ids, run_criterion
+from khbm import acceptance, functional
+from khbm.acceptance import criterion_ids, run_criteria, run_criterion
 from khbm.cli import main
 
 BASE_SEED = 0
@@ -82,3 +88,146 @@ def test_stacked_criterion_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 5_000_000
+
+
+# ------------------------------------------------------------ forked lanes
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks of the test and checks that no child outlives it.
+
+    The kernels' thread pool, left by an earlier test, is shut down
+    first, since the suite runs serially while other threads are alive.
+    """
+    if functional._pool.cache_info().currsize:
+        functional._pool().shutdown(wait=True)
+        functional._pool.cache_clear()
+    assert threading.active_count() == 1
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+def _cli(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["--criterion", "99"], ["--criterion", "1", "--criterion", "99"]])
+def test_unknown_criterion_refused_before_any_lane(monkeypatch, capsys, argv):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(acceptance, "run_criterion", lambda *a: pytest.fail("a criterion ran"))
+    assert _cli(capsys, ["acceptance", *argv]) == (2, "", "error: unknown criterion id 99; valid ids are 1..10\n")
+
+
+def test_repeated_ids_repeat_their_rows(forks):
+    assert run_criteria([7, 1, 7], 3) == [run_criterion(7, 3), run_criterion(1, 3), run_criterion(7, 3)]
+    assert forks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_acceptance_output_is_independent_of_lane_count(monkeypatch, capsys, forks, seed):
+    # JSON and CSV render the same result list, so the full suite is compared
+    # in JSON and a subset, out of id order, in CSV; 1 lane is the serial
+    # loop, and 3 lanes on a 2-core box share the cores
+    argvs = [
+        ["acceptance", "--seed", str(seed)],
+        ["acceptance", "--seed", str(seed), "--criterion", "8", "--criterion", "4", "--format", "csv"],
+    ]
+    outputs = {}
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(functional, "_WORKERS", lanes)
+        outputs[lanes] = [_cli(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in outputs[1]] == [0, 0]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    assert len(forks) == 2 + 3  # a child per extra lane; the two-criterion subset has two lanes at most
+
+
+@pytest.mark.parametrize("budget", [255, 1244, 1_410_729, 100_000])
+def test_refusals_are_independent_of_lane_count(monkeypatch, capsys, forks, budget):
+    # each budget refuses some criterion of the suite; the error is the one the serial loop meets first
+    monkeypatch.setenv("KHBM_BUDGET", str(budget))
+    got = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(functional, "_WORKERS", lanes)
+        got[lanes] = _cli(capsys, ["acceptance", "--seed", "0"])
+    assert got[1][0] == 2 and got[1][1] == "" and got[1][2].startswith("error: ")
+    assert got[2] == got[1]
+    assert forks
+
+
+def _patched(monkeypatch, in_parent, in_child):
+    """Replace every criterion's function with one that acts by process."""
+    parent = os.getpid()
+
+    def wrap(fn):
+        return lambda seed: (in_parent if os.getpid() == parent else in_child)(fn, seed)
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple((k, name, wrap(fn)) for k, name, fn in acceptance._CRITERIA))
+
+
+def test_a_child_that_dies_is_rerun_by_the_parent(monkeypatch, forks):
+    ids = [2, 1, 7, 3]
+    want = [run_criterion(cid, 5) for cid in ids]
+    monkeypatch.setattr(functional, "_WORKERS", 3)
+    _patched(monkeypatch, lambda fn, seed: fn(seed), lambda fn, seed: os._exit(9))
+    assert run_criteria(ids, 5) == want
+    assert len(forks) == 2
+
+
+def test_an_interrupt_kills_and_reaps_the_children(monkeypatch, forks):
+    def interrupt(fn, seed):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    _patched(monkeypatch, interrupt, lambda fn, seed: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_criteria([1, 2, 3], 0)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+
+
+def test_other_threads_keep_the_suite_serial(monkeypatch):
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert run_criteria([1, 7], 0) == [run_criterion(1, 0), run_criterion(7, 0)]
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_lanes_load_no_pool_machinery():
+    code = (
+        "import os, sys, io, contextlib\n"
+        "from khbm import functional\n"
+        "from khbm.cli import main\n"
+        "functional._WORKERS = 2\n"
+        "forks, real_fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or real_fork()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['acceptance', '--criterion', '1', '--criterion', '7'])\n"
+        "print(code, len(forks), 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "False", "False"]
