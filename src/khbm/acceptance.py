@@ -24,7 +24,8 @@ cannot change: a result depends on its criterion id and base seed
 alone, not on the lane or the order that ran it, and any criterion
 whose result did not arrive, because it raised or its child died, is
 run again by the caller in serial order, so an error is the one the
-serial loop raises.
+serial loop raises.  A lane that raises empties the queue, so the
+others stop after the criterion in hand.
 """
 
 from __future__ import annotations
@@ -412,15 +413,25 @@ def _run_lanes(todo: list[int], base_seed: int, lanes: int, done: dict[int, Crit
     os.close(feed)
 
     def lane(deliver: Callable[[CriterionResult], object]) -> None:
-        for index in iter(lambda: os.read(queue, 1), b""):
-            deliver(run_criterion(todo[index[0]], base_seed))
+        try:
+            for index in iter(lambda: os.read(queue, 1), b""):
+                deliver(run_criterion(todo[index[0]], base_seed))
+        finally:
+            # a lane that stops on an error empties the queue, so the others stop after the
+            # criterion in hand and the serial rerun meets the error without running the rest
+            os.read(queue, len(todo))
 
     children: list[int] = []  # pids not yet reaped
     pipes: list[int] = []  # read ends of their result pipes not yet closed
     try:
         for _ in range(lanes - 1):
             out, into = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: go on with the lanes there are
+                os.close(out)
+                os.close(into)
+                break
             if pid == 0:
                 try:
                     os.close(out)

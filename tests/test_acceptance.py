@@ -124,6 +124,8 @@ def _no_fork():
 def _cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
+    with pytest.raises(ChildProcessError):  # main left no child behind
+        os.waitpid(-1, os.WNOHANG)
     return code, out.out, out.err
 
 
@@ -159,14 +161,16 @@ def test_acceptance_output_is_independent_of_lane_count(monkeypatch, capsys, for
 
 @pytest.mark.parametrize("budget", [255, 1244, 1_410_729, 100_000])
 def test_refusals_are_independent_of_lane_count(monkeypatch, capsys, forks, budget):
-    # each budget refuses some criterion of the suite; the error is the one the serial loop meets first
+    # each budget refuses some criteria of the suite (at 255 seven of them); the
+    # error is the one that the plain serial loop meets first
     monkeypatch.setenv("KHBM_BUDGET", str(budget))
+    with pytest.raises(ValueError) as first:
+        [run_criterion(cid, 0) for cid in criterion_ids()]
     got = {}
     for lanes in (1, 2):
         monkeypatch.setattr(functional, "_WORKERS", lanes)
         got[lanes] = _cli(capsys, ["acceptance", "--seed", "0"])
-    assert got[1][0] == 2 and got[1][1] == "" and got[1][2].startswith("error: ")
-    assert got[2] == got[1]
+    assert got[1] == got[2] == (2, "", f"error: {first.value}\n")
     assert forks
 
 
@@ -202,6 +206,46 @@ def test_an_interrupt_kills_and_reaps_the_children(monkeypatch, forks):
     assert len(forks) == 1
 
 
+def test_errors_are_the_serial_loops_first(monkeypatch, forks):
+    def refuse(fn, seed):
+        raise ValueError(fn.__name__)
+
+    counted_fork = os.fork
+
+    def fork():
+        pid = counted_fork()
+        if pid:
+            time.sleep(0.2)  # the child takes the first criterion, the caller a later one
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    _patched(monkeypatch, refuse, refuse)
+    with pytest.raises(ValueError, match="^_c1_constants$"):
+        run_criteria([1, 2, 3], 0)
+    assert forks
+
+
+def test_a_lane_that_fails_stops_the_others(monkeypatch, forks, tmp_path):
+    log = tmp_path / "ran"
+
+    def run(fn, seed):
+        with open(log, "a") as f:
+            f.write(f"{fn.__name__}\n")
+        if fn.__name__ == "_c1_constants":
+            raise ValueError("refused")
+        time.sleep(0.5)
+        return True, ""
+
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    _patched(monkeypatch, run, run)
+    with pytest.raises(ValueError, match="^refused$"):
+        run_criteria([1, 2, 3, 4, 5, 6], 0)
+    # criterion 1 twice (its lane, then the serial rerun) and at most the other lane's criterion in hand
+    assert set(log.read_text().split()) <= {"_c1_constants", "_c2_classical"}
+    assert forks
+
+
 def test_other_threads_keep_the_suite_serial(monkeypatch):
     monkeypatch.setattr(functional, "_WORKERS", 2)
     monkeypatch.setattr(os, "fork", _no_fork)
@@ -214,6 +258,15 @@ def test_other_threads_keep_the_suite_serial(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+
+
+def test_a_refused_fork_leaves_fewer_lanes(monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_criteria([1, 7], 0) == [run_criterion(1, 0), run_criterion(7, 0)]
 
 
 def test_lanes_load_no_pool_machinery():
