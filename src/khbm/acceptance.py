@@ -397,17 +397,17 @@ def run_criteria(ids: Sequence[int], base_seed: int = 0) -> list[CriterionResult
             raise _unknown(cid)
     todo = list(dict.fromkeys(ids))
     lanes = min(functional._WORKERS, len(todo))
-    done: dict[int, CriterionResult] = {}
-    if lanes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        _run_lanes(todo, base_seed, lanes, done)
+    forks = lanes > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    done = _run_lanes(todo, base_seed, lanes) if forks else {}
     for cid in todo:  # what no lane delivered, in serial order: an error raises here again
         if cid not in done:
             done[cid] = run_criterion(cid, base_seed)
     return [done[cid] for cid in ids]
 
 
-def _run_lanes(todo: list[int], base_seed: int, lanes: int, done: dict[int, CriterionResult]) -> None:
-    """Fill ``done`` from ``lanes`` processes that share the criteria of ``todo``."""
+def _run_lanes(todo: list[int], base_seed: int, lanes: int) -> dict[int, CriterionResult]:
+    """The results, by id, that ``lanes`` processes sharing the criteria of ``todo`` delivered."""
+    done: dict[int, CriterionResult] = {}
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(todo))))  # at most ten bytes, far below a pipe's capacity
     os.close(feed)
@@ -472,3 +472,4 @@ def _run_lanes(todo: list[int], base_seed: int, lanes: int, done: dict[int, Crit
             for pid in children:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
+    return done
