@@ -25,7 +25,9 @@ alone, not on the lane or the order that ran it, and any criterion
 whose result did not arrive, because it raised or its child died, is
 run again by the caller in serial order, so an error is the one the
 serial loop raises.  A lane that raises empties the queue, so the
-others stop after the criterion in hand.
+others stop after the criterion in hand; when that lane is the
+caller's, the children are killed at once, since the serial rerun does
+not need what they have in hand.
 """
 
 from __future__ import annotations
@@ -449,8 +451,8 @@ def _run_lanes(todo: list[int], base_seed: int, lanes: int) -> dict[int, Criteri
             pipes.append(out)
         try:
             lane(lambda res: done.__setitem__(res.cid, res))
-        except Exception:
-            pass  # run_criteria runs it again in serial order, which raises it again
+        except Exception:  # run_criteria runs it again in serial order, which raises it again,
+            _kill(children)  # so what the children have in hand is not waited for
         while pipes:
             with os.fdopen(pipes.pop(), "rb") as source:
                 while True:
@@ -466,10 +468,14 @@ def _run_lanes(todo: list[int], base_seed: int, lanes: int) -> dict[int, Criteri
         os.close(queue)
         for out in pipes:  # left only when unwinding: an error or an interrupt
             os.close(out)
-        if children:
-            from signal import SIGKILL
-
-            for pid in children:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+        _kill(children)
     return done
+
+
+def _kill(children: list[int]) -> None:
+    # SIGKILL and reap each child; what a killed child sent stays readable in its pipe
+    from signal import SIGKILL
+
+    while children:
+        os.kill(children[-1], SIGKILL)
+        os.waitpid(children.pop(), 0)

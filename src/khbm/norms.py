@@ -8,6 +8,48 @@ Two families are supported:
   hull of a symmetric spanning vertex set, evaluated from its facet form
   {x : A x <= 1} as max(A x); its dual is the gauge of the polar conv(A).
 
+The facet rows of conv(V) are the vertices of its polar {y : V y <= 1},
+which ``_facet_rows`` enumerates by the double-description method
+(Motzkin et al. 1953; Fukuda & Prodon, "Double description method
+revisited", LNCS 1120, 1996) with numpy alone, so no route imports scipy.
+It works on the polar's cone {(y, t) : v.y <= t, t >= 0} in R^(d+1):
+
+* it starts from d + 1 independent rows: t >= 0, then the vertex rows by
+  a pivoted QR (each the farthest from the span of those before, the
+  first one of largest norm), so the starting cone is well conditioned;
+  its rays are the columns of -B^-1;
+* it adds the other (distinct) vertex rows in ascending order.  A ray,
+  kept at unit max-abs, is tight on a row when |row . ray| is at most
+  ``_FACET_TOL`` (1e-12) times the row's l^1 norm; each ray's tight rows
+  are kept as packed uint64 words;
+* a new ray joins each adjacent pair of rays on the two sides of the new
+  row, found from their tight sets alone (``_adjacent``);
+* each final ray's facet row a is recomputed from its tight vertices, as
+  the solution of v.a = 1: one batched ``np.linalg.solve`` for the
+  simplicial facets (d tight vertices) and ``lstsq`` for the others.
+
+Near a degenerate body (vertices within about 1e-12 to 1e-9 relative of
+lying on a common facet) rounding decides the tight sets, and a run can
+miss a facet or make a wrong row.  So a run is dropped when a simple
+ray's edge leads to no other ray, a ray is tight on fewer than d
+vertices or a row cuts off a vertex by more than ``_FACET_CHECK``; and a
+run in which some ray came within ``_FACET_GAP`` (10^3) times the
+tolerance of a row is repeated at 10^3 times the tolerance, which merges
+such near-facets, and the rows of both runs are kept.  A kept row never
+cuts off a vertex, so the gauge is never overestimated by more than
+1e-10 relative, and the union is complete when either run is.  A body
+that no run passes is refused with a ``ValueError``.  Random bodies and
+exactly degenerate ones (cubes, lattice points) take one run.
+
+The rows are sorted by ``np.unique``, so the output depends on the
+vertex set alone: the enumeration order is fixed, and a facet's row comes
+from its own tight vertices, not from the path that reached it.  The ray
+table and the largest pair block are counted in float64 values against
+``functional.default_budget()`` before they are allocated, and a body past
+it raises ``EnumerationBudgetError`` (a ``ValueError``: the CLI exits 2).
+qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996) stays the tests'
+oracle.
+
 Comparison constants between two norms A, B on the same space are the
 extreme values of the ratio ||x||_A / ||x||_B.  For l^r vs l^s they are
 closed-form; for anything else there is a sampled (non-rigorous)
@@ -18,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -38,6 +80,10 @@ __all__ = [
 
 _MAX_GAUGE_DIM = 8
 _GAUGE_BLOCK = 1 << 20  # (points x facets) entries per gauge block: 8 MB per temporary
+_FACET_TOL = 1e-12  # a ray of unit max-abs is tight on a row r when |r . ray| <= _FACET_TOL * ||r||_1
+_FACET_GAP = 1e3  # a ray within this factor of a row's tolerance makes the run unsure
+_FACET_CHECK = 1e-10  # every vertex v must satisfy v . a <= 1 + _FACET_CHECK on every facet row a
+_PAIR_BLOCK = 1 << 20  # packed words per pair block of the facet enumeration: 8 MB per temporary
 
 
 @dataclass(frozen=True)
@@ -58,9 +104,13 @@ class LpNorm:
 class PolytopeGauge:
     """Minkowski functional of conv(vertices); vertices symmetric and spanning.
 
-    The facet rows A of conv(vertices) = {x : A x <= 1} are computed once
-    by qhull, and the gauge of x is max(A x).  scipy is imported only here.
-    Dimension is capped at 8; this is a small-scale verification tool.
+    The facet rows A of conv(vertices) = {x : A x <= 1} are computed once,
+    as the vertices of the polar by double description (see the module
+    docstring: relative tolerance 1e-12, a near-degenerate body checked and
+    merged or refused, ray table counted against the term budget, rows
+    sorted so the result depends on the vertex set alone), and the gauge
+    of x is max(A x).  Dimension is capped at 8; this is a
+    small-scale verification tool.
     """
 
     vertices: np.ndarray = field(repr=False)
@@ -92,14 +142,155 @@ NormSpec = Union[LpNorm, PolytopeGauge]
 
 
 def _facet_rows(v: np.ndarray) -> np.ndarray:
-    if v.shape[1] == 1:  # qhull rejects 1-D input
+    """The facet rows A of conv(v) = {x : A x <= 1}: the vertices of the polar {y : v y <= 1}."""
+    if v.shape[1] == 1:
         return np.array([[1.0], [-1.0]]) / np.abs(v).max()
-    from scipy.spatial import ConvexHull
+    v = np.unique(v, axis=0)
+    found, unsure = _enumerate(v, _FACET_TOL)
+    if unsure:  # also merge at a wider tolerance; valid rows only underestimate, so keep both runs'
+        found += _enumerate(v, _FACET_TOL * _FACET_GAP)[0]
+    if not found:
+        raise ValueError("vertex set too close to degenerate for the facet enumeration")
+    return np.unique(np.vstack(found), axis=0)
 
-    # the simplices of one triangulated facet share bitwise-equal equations
-    # n.x + c <= 0 (c < 0, the origin is interior), so np.unique keeps one
-    eq = np.unique(ConvexHull(v).equations, axis=0)
-    return eq[:, :-1] / -eq[:, -1:]
+
+def _enumerate(v: np.ndarray, tol: float) -> tuple[list[np.ndarray], bool]:
+    """The facet rows of conv(v) at one tolerance, or none if a check fails; and whether a ray came near it."""
+    from .functional import _check_floats, default_budget  # functional imports this module
+
+    (m, d), dim = v.shape, v.shape[1] + 1
+    # the polar's cone {(y, t) : v.y <= t, t >= 0} as rows r with r.(y, t) <= 0; row 0 is t >= 0
+    rows = np.zeros((m + 1, dim))
+    rows[0, -1] = rows[1:, -1] = -1.0
+    rows[1:, :-1] = v
+    words = m // 64 + 1
+    index = np.arange(m + 1)
+    bits = np.zeros((m + 1, words), np.uint64)  # row i alone, as a packed tight set
+    bits[index, index >> 6] = np.uint64(1) << (index & 63).astype(np.uint64)
+    budget = default_budget()
+
+    def count(rays: int, block: int) -> None:
+        _check_floats(rays * (dim + words) + block, budget, "the facet enumeration's ray table and largest pair block")
+
+    basis = _start_basis(rows)
+    count(dim, 0)
+    rays = -np.linalg.inv(rows[basis]).T  # ray j is tight on every basis row but row j
+    rays /= np.abs(rays).max(axis=1, keepdims=True)
+    tight = np.bitwise_or.reduce(bits[basis]) ^ bits[basis]
+    unsure = False
+    for k in np.setdiff1d(index, basis):
+        s = rays @ rows[k]
+        eps = tol * np.abs(rows[k]).sum()
+        pos, neg = s > eps, s < -eps
+        tight[~pos & ~neg] |= bits[k]
+        unsure = unsure or bool(np.any((np.abs(s) > eps) & (np.abs(s) <= _FACET_GAP * eps)))
+        if not pos.any():
+            continue
+        p, n = _adjacent(tight, pos, neg, bits, d, count)
+        count(len(rays) + len(p), 0)
+        new = s[p, None] * rays[n] - s[n, None] * rays[p]  # on the row's hyperplane, between the two
+        new /= np.abs(new).max(axis=1, keepdims=True)
+        rays = np.concatenate([rays[~pos], new])
+        tight = np.concatenate([tight[~pos], tight[p] & tight[n] | bits[k]])
+    # every extreme ray has t > 0; its row a solves v.a = 1 over its tight vertices
+    on = np.unpackbits(tight.view(np.uint8), axis=1, bitorder="little")[:, 1 : m + 1].astype(bool)
+    size = on.sum(axis=1)
+    out = np.empty((len(rays), d))
+    simplicial = size == d
+    tops = v[np.nonzero(on[simplicial])[1].reshape(-1, d)]
+    out[simplicial] = np.linalg.solve(tops, np.ones((len(tops), d, 1)))[..., 0]
+    for i in np.flatnonzero(~simplicial):
+        out[i] = np.linalg.lstsq(v[on[i]], np.ones(size[i]), rcond=None)[0]
+    # near a degenerate body rounding decides the tight sets; drop what that can break: a facet
+    # missed next to a simple ray, a ray on fewer than d vertices, a row cutting off a vertex
+    ok = _closed(tight, bits, d, count) and size.min() >= d and (v @ out.T).max() <= 1.0 + _FACET_CHECK
+    return [out] if ok else [], unsure
+
+
+def _start_basis(rows: np.ndarray) -> list[int]:
+    # row 0 (t >= 0), then d rows each farthest from the span of those before (a pivoted QR),
+    # so the starting cone is well conditioned; the first is a vertex row of the largest norm
+    kept, rest = [0], rows[1:] - rows[1:] @ np.outer(rows[0], rows[0])
+    for _ in range(rows.shape[1] - 1):
+        i = int(np.argmax(np.einsum("ij,ij->i", rest, rest)))
+        q = rest[i] / np.linalg.norm(rest[i])
+        rest = rest - np.outer(rest @ q, q)
+        kept.append(i + 1)
+    return kept
+
+
+def _adjacent(
+    tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, bits: np.ndarray, d: int, count: Callable[[int, int], None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacent (positive, negative) pairs of extreme rays, from their packed tight sets.
+
+    Two extreme rays of the (d + 1)-dimensional cone are adjacent iff no
+    other ray's tight set contains the common tight set Z, which then has
+    at least d - 1 members (the combinatorial test; Fukuda & Prodon 1996,
+    Prop. 7).  A simple ray's d tight rows are independent, so a pair with
+    one simple ray is adjacent iff |Z| = d - 1 and needs no third-ray test;
+    two simple rays share that Z, which is each one's tight set less one
+    member, so their pairs are found by sorting those keys.  ``count(rays,
+    block)`` sees each temporary's size before it is made.
+    """
+    rays, words = tight.shape
+    simple = np.bitwise_count(tight).sum(axis=1) == d
+    # simple pairs: equal keys of the two sides, each key on at most two rays (its 2-face's)
+    ids = np.concatenate([np.flatnonzero(pos & simple), np.flatnonzero(neg & simple)])
+    count(rays, len(ids) * d * words)
+    keys, owner = _keys(tight, ids, bits, d)
+    same = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1) & (pos[owner[1:]] != pos[owner[:-1]]))
+    first, second = owner[same], owner[same + 1]
+    p, n = [np.where(pos[first], first, second)], [np.where(pos[first], second, first)]
+    # pairs with a non-simple ray: |Z| >= d - 1 by popcount, then the third-ray test if both are
+    for side_p, side_n in ((pos & ~simple, neg), (pos & simple, neg & ~simple)):
+        ip, jn = np.flatnonzero(side_p), np.flatnonzero(side_n)
+        step = max(1, _PAIR_BLOCK // max(1, len(jn) * words))
+        count(rays, min(step, len(ip)) * len(jn) * words)
+        for lo in range(0, len(ip), step):
+            z = tight[ip[lo : lo + step], None] & tight[jn]
+            a, b = np.nonzero(np.bitwise_count(z).sum(axis=2) >= d - 1)
+            p.append(ip[lo : lo + step][a])
+            n.append(jn[b])
+    p, n = np.concatenate(p), np.concatenate(n)
+    # the third-ray test: only p and n may hold Z
+    test = np.flatnonzero(~simple[p] & ~simple[n])
+    step = max(1, _PAIR_BLOCK // (rays * words))
+    count(rays, min(step, len(test)) * rays * words)
+    keep = np.ones(len(p), dtype=bool)
+    for lo in range(0, len(test), step):
+        t = test[lo : lo + step]
+        z = (tight[p[t]] & tight[n[t]])[:, None]
+        keep[t] = ((z & tight) == z).all(axis=2).sum(axis=1) == 2
+    return p[keep], n[keep]
+
+
+def _keys(tight: np.ndarray, ids: np.ndarray, bits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # each simple ray's tight set less one member, sorted so equal keys are neighbours, and their rays
+    members = np.nonzero(np.unpackbits(tight[ids].view(np.uint8), axis=1, bitorder="little"))[1]
+    keys, owner = np.repeat(tight[ids], d, axis=0) ^ bits[members], ids.repeat(d)
+    order = np.lexsort(keys.T[::-1])
+    return keys[order], owner[order]
+
+
+def _closed(tight: np.ndarray, bits: np.ndarray, d: int, count: Callable[[int, int], None]) -> bool:
+    # every edge of a simple ray leads to another ray: each of its keys is held by a second ray
+    rays, words = tight.shape
+    simple = np.bitwise_count(tight).sum(axis=1) == d
+    count(rays, int(simple.sum()) * d * words)
+    keys, _ = _keys(tight, np.flatnonzero(simple), bits, d)
+    twin = (keys[1:] == keys[:-1]).all(axis=1)
+    alone = np.ones(len(keys), dtype=bool)
+    alone[1:] &= ~twin
+    alone[:-1] &= ~twin
+    lone, other = keys[alone], tight[~simple]
+    step = max(1, _PAIR_BLOCK // max(1, len(other) * words))
+    count(rays, min(step, len(lone)) * len(other) * words)
+    for lo in range(0, len(lone), step):
+        z = lone[lo : lo + step, None]
+        if not ((z & other) == z).all(axis=2).any(axis=1).all():
+            return False
+    return True
 
 
 def _inv(r: float) -> float:

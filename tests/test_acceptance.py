@@ -226,6 +226,30 @@ def test_errors_are_the_serial_loops_first(monkeypatch, forks):
     assert forks
 
 
+def test_a_failing_caller_kills_the_children(monkeypatch, forks):
+    # the caller's lane raises while the child is in a criterion that would take a minute:
+    # the child is killed and reaped, not waited for, and the serial rerun raises the first error
+    def refuse(fn, seed):
+        raise ValueError(fn.__name__)
+
+    counted_fork = os.fork
+
+    def fork():
+        pid = counted_fork()
+        if pid:
+            time.sleep(0.2)  # the child takes the first criterion, the caller a later one
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    _patched(monkeypatch, refuse, lambda fn, seed: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^_c1_constants$"):
+        run_criteria([1, 2, 3], 0)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+
+
 def test_a_lane_that_fails_stops_the_others(monkeypatch, forks, tmp_path):
     log = tmp_path / "ran"
 

@@ -2,11 +2,14 @@ import itertools
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from khbm import norms
+from khbm.cli import main
+from khbm.functional import EnumerationBudgetError
 from khbm.norms import (
     ComparisonConstants,
     LpNorm,
@@ -133,6 +136,115 @@ def test_facet_gauge_matches_lp(d):
         assert np.max(np.abs(got - want) / want) < 1e-12
 
 
+DATA = Path(__file__).parent / "data"
+# 26 vertices in R^8, the 4th m = 13 body of default_rng(0) drawn for d = 2..8,
+# m in (d, d + 2, d + 5, 15), 4 draws each: qhull stops on it with QH6154
+# ("initial simplex is flat"), though its smallest singular value is 1.36
+FLAT_SIMPLEX = DATA / "qhull_flat_simplex.csv"
+HEXAGON = np.array([[1.0, 0.0], [0.5, 0.8], [-0.5, 0.8], [-1.0, 0.0], [-0.5, -0.8], [0.5, -0.8]])
+
+
+def qhull_rows(vertices):
+    """Oracle: qhull's facet equations n.x + c <= 0, one per facet, as rows a with a.x <= 1."""
+    from scipy.spatial import ConvexHull
+
+    eq = np.unique(ConvexHull(vertices).equations, axis=0)
+    return eq[:, :-1] / -eq[:, -1:]
+
+
+def _oracle_bodies():
+    rng = np.random.default_rng(77)
+    bodies = {f"random-{d}-{m}": random_body(rng, m, d) for d in range(1, 9) for m in (d, d + 3, 12)}
+    body = random_body(rng, 7, 4)
+    bodies["duplicates"] = np.vstack([body, body[:5], -body[:5], body])
+    mid = 0.5 * (body[:3] + body[3:6])  # inside the body, or on a face between two vertices
+    bodies["interior"] = np.vstack([body, 0.3 * body, mid, -mid])
+    bodies["cube-8"] = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
+    bodies["cross-8"] = np.vstack([np.eye(8), -np.eye(8)])
+    return bodies
+
+
+ORACLE_BODIES = _oracle_bodies()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_BODIES))
+def test_facet_rows_match_qhull(name):
+    verts = ORACLE_BODIES[name]
+    got = PolytopeGauge(verts).facets
+    if verts.shape[1] == 1:  # qhull takes no 1-D input; the body is [-max|v|, max|v|]
+        want = np.array([[-1.0], [1.0]]) / np.abs(verts).max()
+    else:
+        want = qhull_rows(verts)
+    assert got.shape == want.shape
+    pts = np.random.default_rng(3).standard_normal((300, verts.shape[1]))
+    g, w = (pts @ got.T).max(axis=1), (pts @ want.T).max(axis=1)
+    assert np.max(np.abs(g - w) / w) < 1e-12
+
+
+def test_qhull_flat_simplex_body():
+    verts = np.loadtxt(FLAT_SIMPLEX, delimiter=",")
+    assert verts.shape == (26, 8)
+    pts = np.random.default_rng(9).standard_normal((25, 8))
+    got = norm_eval_many(PolytopeGauge(verts), pts)
+    want = np.array([lp_gauge(verts, x) for x in pts])
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.fixture
+def flat_simplex_hanner(tmp_path):
+    # a single exact type-2 check of three vectors that the body passes
+    vectors = tmp_path / "v.csv"
+    np.savetxt(vectors, np.random.default_rng(3).standard_normal((3, 8)), delimiter=",", fmt="%.17g")
+    return ["hanner", "--norm", f"polytope:{FLAT_SIMPLEX}", "--q", "2", "--mode", "type", "--vectors", str(vectors)]
+
+
+def test_qhull_flat_simplex_body_cli(flat_simplex_hanner):
+    cmd = [sys.executable, "-m", "khbm.cli", *flat_simplex_hanner]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_near_degenerate_body_is_merged(monkeypatch):
+    # a dodecahedron moved by 1e-12: each pentagon's five vertices lie within about
+    # the tolerance of one plane, so a second run at 10^3 times it merges them
+    phi = (1.0 + 5.0**0.5) / 2.0
+    ring = [(0.0, a / phi, b * phi) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+    corners = list(itertools.product((-1.0, 1.0), repeat=3)) + [p[k:] + p[:k] for p in ring for k in range(3)]
+    half = np.array([c for c in corners if c > tuple(-x for x in c)])
+    half += 1e-12 * np.random.default_rng(1).standard_normal(half.shape)
+    verts = np.vstack([half, -half])
+    runs = []
+    real = norms._enumerate
+
+    def counted(v, tol):
+        runs.append(tol)
+        return real(v, tol)
+
+    monkeypatch.setattr(norms, "_enumerate", counted)
+    gauge = PolytopeGauge(verts)
+    assert runs == [norms._FACET_TOL, norms._FACET_TOL * norms._FACET_GAP]
+    pts = np.random.default_rng(2).standard_normal((300, 3))
+    got, want = norm_eval_many(gauge, pts), (pts @ qhull_rows(verts).T).max(axis=1)
+    assert np.max(np.abs(got - want) / want) < 1e-10
+    assert (verts @ gauge.facets.T).max() <= 1.0 + norms._FACET_CHECK
+
+
+def test_facet_enumeration_counts_the_budget(monkeypatch, capsys, tmp_path):
+    # 36 floats is the smallest budget for a hexagon: its largest ray table (old and new
+    # rays, three coordinates and one tight-set word each) during the enumeration
+    monkeypatch.setenv("KHBM_BUDGET", "35")
+    error = "the facet enumeration's ray table and largest pair block need 36 floats, exceeding budget 35"
+    with pytest.raises(EnumerationBudgetError, match=f"^{error}$"):
+        PolytopeGauge(HEXAGON)
+    path = tmp_path / "hex.csv"
+    np.savetxt(path, HEXAGON, delimiter=",")
+    assert main(["hanner", "--norm", f"polytope:{path}", "--q", "2", "--n", "2", "--d", "2", "--mode", "type"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {error}\n")
+    monkeypatch.setenv("KHBM_BUDGET", "36")
+    assert PolytopeGauge(HEXAGON).facets.shape == (6, 2)
+
+
 def test_facet_rows_one_per_facet():
     cube = PolytopeGauge(np.array(list(itertools.product((-1.0, 1.0), repeat=8))))
     assert cube.facets.shape == (16, 8)
@@ -206,6 +318,25 @@ def test_lp_paths_do_not_import_scipy(code):
     check = f"import sys; {code}; assert 'scipy' not in sys.modules, 'scipy imported'"
     res = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_polytope_paths_do_not_import_scipy(flat_simplex_hanner):
+    code = (
+        "import io, sys, contextlib\n"
+        "import numpy as np\n"
+        "import khbm.cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "from khbm.norms import PolytopeGauge\n"
+        f"PolytopeGauge(np.loadtxt({str(FLAT_SIMPLEX)!r}, delimiter=','))\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = khbm.cli.main({flat_simplex_hanner!r})\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(code, *loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False", "False"]
 
 
 def test_lp_comparison_closed_forms():
