@@ -275,7 +275,7 @@ def _lanes(blocks: int, terms: int, floats: int, budget: int) -> int:
 
 @lru_cache(maxsize=1)
 def _pool():
-    from concurrent.futures import ThreadPoolExecutor  # imported on first use, as scipy is
+    from concurrent.futures import ThreadPoolExecutor  # imported on first use: calls below _PARALLEL never load it
 
     return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="khbm")
 
