@@ -186,7 +186,7 @@ def _enumerate(v: np.ndarray, tol: float) -> tuple[list[np.ndarray], bool]:
         unsure = unsure or bool(np.any((np.abs(s) > eps) & (np.abs(s) <= _FACET_GAP * eps)))
         if not pos.any():
             continue
-        p, n = _adjacent(tight, pos, neg, bits, d, count)
+        p, n = _adjacent(tight, pos, neg, d, count)
         count(len(rays) + len(p), 0)
         new = s[p, None] * rays[n] - s[n, None] * rays[p]  # on the row's hyperplane, between the two
         new /= np.abs(new).max(axis=1, keepdims=True)
@@ -220,7 +220,7 @@ def _start_basis(rows: np.ndarray) -> list[int]:
 
 
 def _adjacent(
-    tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, bits: np.ndarray, d: int, count: Callable[[int, int], None]
+    tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, d: int, count: Callable[[int, int], None]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The adjacent (positive, negative) pairs of extreme rays, from their packed tight sets.
 
@@ -228,30 +228,21 @@ def _adjacent(
     other ray's tight set contains the common tight set Z, which then has
     at least d - 1 members (the combinatorial test; Fukuda & Prodon 1996,
     Prop. 7).  A simple ray's d tight rows are independent, so a pair with
-    one simple ray is adjacent iff |Z| = d - 1 and needs no third-ray test;
-    two simple rays share that Z, which is each one's tight set less one
-    member, so their pairs are found by sorting those keys.  ``count(rays,
-    block)`` sees each temporary's size before it is made.
+    one simple ray is adjacent iff |Z| = d - 1 and needs no third-ray test.
+    ``count(rays, block)`` sees each temporary's size before it is made.
     """
     rays, words = tight.shape
     simple = np.bitwise_count(tight).sum(axis=1) == d
-    # simple pairs: equal keys of the two sides, each key on at most two rays (its 2-face's)
-    ids = np.concatenate([np.flatnonzero(pos & simple), np.flatnonzero(neg & simple)])
-    count(rays, len(ids) * d * words)
-    keys, owner = _keys(tight, ids, bits, d)
-    same = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1) & (pos[owner[1:]] != pos[owner[:-1]]))
-    first, second = owner[same], owner[same + 1]
-    p, n = [np.where(pos[first], first, second)], [np.where(pos[first], second, first)]
-    # pairs with a non-simple ray: |Z| >= d - 1 by popcount, then the third-ray test if both are
-    for side_p, side_n in ((pos & ~simple, neg), (pos & simple, neg & ~simple)):
-        ip, jn = np.flatnonzero(side_p), np.flatnonzero(side_n)
-        step = max(1, _PAIR_BLOCK // max(1, len(jn) * words))
-        count(rays, min(step, len(ip)) * len(jn) * words)
-        for lo in range(0, len(ip), step):
-            z = tight[ip[lo : lo + step], None] & tight[jn]
-            a, b = np.nonzero(np.bitwise_count(z).sum(axis=2) >= d - 1)
-            p.append(ip[lo : lo + step][a])
-            n.append(jn[b])
+    # |Z| >= d - 1 by popcount, in blocks of positive rays against every negative one
+    ip, jn = np.flatnonzero(pos), np.flatnonzero(neg)
+    step = max(1, _PAIR_BLOCK // max(1, len(jn) * words))
+    count(rays, min(step, len(ip)) * len(jn) * words)
+    p, n = [], []
+    for lo in range(0, len(ip), step):
+        z = tight[ip[lo : lo + step], None] & tight[jn]
+        a, b = np.nonzero(np.bitwise_count(z).sum(axis=2) >= d - 1)
+        p.append(ip[lo : lo + step][a])
+        n.append(jn[b])
     p, n = np.concatenate(p), np.concatenate(n)
     # the third-ray test: only p and n may hold Z
     test = np.flatnonzero(~simple[p] & ~simple[n])
@@ -265,20 +256,15 @@ def _adjacent(
     return p[keep], n[keep]
 
 
-def _keys(tight: np.ndarray, ids: np.ndarray, bits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    # each simple ray's tight set less one member, sorted so equal keys are neighbours, and their rays
-    members = np.nonzero(np.unpackbits(tight[ids].view(np.uint8), axis=1, bitorder="little"))[1]
-    keys, owner = np.repeat(tight[ids], d, axis=0) ^ bits[members], ids.repeat(d)
-    order = np.lexsort(keys.T[::-1])
-    return keys[order], owner[order]
-
-
 def _closed(tight: np.ndarray, bits: np.ndarray, d: int, count: Callable[[int, int], None]) -> bool:
-    # every edge of a simple ray leads to another ray: each of its keys is held by a second ray
+    # every edge of a simple ray leads to another ray: each of its keys (its tight set less one
+    # member), sorted so equal keys are neighbours, is held by a second ray
     rays, words = tight.shape
     simple = np.bitwise_count(tight).sum(axis=1) == d
     count(rays, int(simple.sum()) * d * words)
-    keys, _ = _keys(tight, np.flatnonzero(simple), bits, d)
+    members = np.nonzero(np.unpackbits(tight[simple].view(np.uint8), axis=1, bitorder="little"))[1]
+    keys = np.repeat(tight[simple], d, axis=0) ^ bits[members]
+    keys = keys[np.lexsort(keys.T[::-1])]
     twin = (keys[1:] == keys[:-1]).all(axis=1)
     alone = np.ones(len(keys), dtype=bool)
     alone[1:] &= ~twin
