@@ -163,8 +163,8 @@ def _run_lemma1(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
         cases.append((x, args.k, args.alpha))
     elif args.random is not None:
         n, trials, sweep_seed = args.random
-        if n < 1 or trials < 1:
-            raise UsageError("--random needs n >= 1 and trials >= 1")
+        if n < 1 or trials < 1 or sweep_seed < 0:
+            raise UsageError("--random needs n >= 1, trials >= 1 and seed >= 0")
         rng = np.random.default_rng(sweep_seed)
         for _ in range(trials):
             x = tuple(float(t) for t in rng.uniform(0.0, 1.0, size=n))
@@ -339,8 +339,15 @@ def _run_acceptance(args: argparse.Namespace) -> tuple[Any, Optional[list], int]
 # ---------------------------------------------------------------- parser
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed; every subcommand refuses one, not only those that draw
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp: argparse.ArgumentParser, budget: bool = True) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="seed for every randomized step (default 0)")
+    sp.add_argument("--seed", type=_seed, default=0, help="seed for every randomized step (default 0)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     if budget:
         sp.add_argument("--budget", type=int, default=None, help="enumeration term limit (default KHBM_BUDGET or 10^8)")

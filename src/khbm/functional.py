@@ -67,10 +67,15 @@ block before it, since a one-row product takes BLAS's matrix-vector
 path, which can round differently.  The output is then bitwise that of
 a single ``choice`` draw on BLAS builds whose matrix-product rows do not
 depend on the number of rows, as
-``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  The stored
-samples and the largest block are counted against the budget before the
-first draw; each block in flight has its own uniforms buffer and map,
-and the map works through the buffer ``_MC_SLICE`` uniforms at a time.
+``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  Each block
+in flight has its own uniforms buffer and map, and the map works through
+the buffer ``_MC_SLICE`` uniforms at a time.  The mean and standard error
+are taken in the place of the stored norms, by numpy's own steps, so the
+call holds one sample-sized array.  That array and what the largest
+block holds (its uniforms, vector sums and the norm's temporaries, as
+``norms._eval_floats`` counts them, and its map) are counted against the
+budget before the first draw; ``test_monte_carlo_memory_stays_within_its_count``
+checks the count against the traced peak.
 
 The blocks of these three routes are independent, and a call of at
 least ``_PARALLEL`` (2^20) terms or uniforms runs them on up to
@@ -108,7 +113,7 @@ from .distributions import (
     theorem1_lower_constant,
     theorem1_upper_constant,
 )
-from .norms import LpNorm, NormSpec, norm_eval_many
+from .norms import LpNorm, NormSpec, _eval_floats, norm_eval_many
 
 __all__ = [
     "VectorTuple",
@@ -132,7 +137,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
-_MC_BLOCK = 1 << 19  # uniforms per Monte Carlo block: each (block, n) temporary is 4 MB
+_MC_BLOCK = 1 << 16  # uniforms per Monte Carlo block: each (block, n) buffer is 0.5 MB
 _MC_TABLE = 1 << 12  # guide-table buckets over [0, 1): a power of two, so u * B is exact
 _MC_SLICE = 1 << 14  # uniforms mapped per pass: its buckets and search temporaries stay under 0.5 MB
 _TINY = math.ulp(0.0)  # the least positive double
@@ -551,15 +556,16 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
     return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
-def _choice_map(values: np.ndarray, cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _choice_map(values: np.ndarray, cdf: np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """``Generator.choice``'s map from uniforms to support values, by a guide table.
 
     choice draws index searchsorted(cdf, u, side="right").  On a bucket
     [b/B, (b+1)/B) that no cdf point falls inside, that index is one
     number, and the table holds its value; a bucket holding a cdf point
     holds NaN, and its uniforms are searched.  The returned map takes a
-    C-contiguous array of uniforms in [0, 1) and overwrites it with the
-    drawn values, ``_MC_SLICE`` at a time through one bucket buffer.
+    C-contiguous array of at most ``size`` uniforms in [0, 1) and
+    overwrites it with the drawn values, ``_MC_SLICE`` at a time through
+    one bucket buffer of min(``_MC_SLICE``, ``size``) indices.
     """
     B = _MC_TABLE
     edges = np.arange(B + 1) / B
@@ -568,7 +574,7 @@ def _choice_map(values: np.ndarray, cdf: np.ndarray) -> Callable[[np.ndarray], n
     # the bucket values, then the support itself for a searched index i at B + i
     table = np.concatenate([np.where(split, np.nan, values[first]), values])
     searched = bool(split.any())
-    buckets = np.empty(_MC_SLICE, dtype=np.intp)
+    buckets = np.empty(min(_MC_SLICE, size), dtype=np.intp)
 
     def draw(u: np.ndarray) -> np.ndarray:
         flat = u.reshape(-1)
@@ -583,6 +589,26 @@ def _choice_map(values: np.ndarray, cdf: np.ndarray) -> Callable[[np.ndarray], n
         return u
 
     return draw
+
+
+def _scaled_moments(x: np.ndarray, p: float) -> tuple[float, float, float]:
+    """The largest entry M of x, then the mean and ``std(ddof=1)`` of (x / M)^p, overwriting x.
+
+    The steps are those of numpy's ``mean`` and ``std``: one pairwise
+    ``np.add.reduce`` divided by the count, the deviations squared in place
+    and summed the same way, so the bits are theirs without their
+    sample-sized temporaries.  ``**=`` keeps numpy's scalar-power path (a
+    square for p = 2) that ``(x / M) ** p`` takes.  A zero x (M = 0) is
+    not scaled.
+    """
+    peak = float(x.max())
+    if peak > 0.0:
+        x /= peak
+        x **= p
+    mean = float(np.add.reduce(x)) / x.size
+    x -= mean
+    x *= x
+    return peak, mean, math.sqrt(float(np.add.reduce(x)) / (x.size - 1))
 
 
 def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int, seed: int) -> IpResult:
@@ -603,15 +629,19 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     n, d = rows.shape
     step = max(2, _MC_BLOCK // n)
     edges = _edges(samples, step)
-    # the stored samples, and per row of the largest block the uniforms,
-    # then the drawn values in their place, the bucket indices (a bound:
-    # the map holds one slice of them at a time) and the vector sum
+    # the stored samples, whose statistics are then taken in their place;
+    # and for the largest block its uniforms (then the drawn values), its
+    # vector sums and the norm's temporaries, and its map: the guide table
+    # and what building it holds (five tables, four supports at most), and
+    # up to four slices (the bucket indices and the search's temporaries)
     block, budget = min(samples, step + 1), default_budget()
-    floats = samples + block * (2 * n + d)
+    uniforms = block * n
+    floats = samples + uniforms + block * d + _eval_floats(norm, block)
+    floats += 5 * _MC_TABLE + 4 * len(values) + 4 * min(_MC_SLICE, uniforms)
     _check_floats(floats, budget, "the Monte Carlo samples and largest block")
     lanes = _lanes(len(edges) - 1, samples * n, floats, budget)
     # one uniforms buffer and one map (its bucket buffer) per block in flight
-    free = [(u, _choice_map(values, cdf)) for u in np.empty((lanes, block, n))]
+    free = [(u, _choice_map(values, cdf, uniforms)) for u in np.empty((lanes, block, n))]
     norms = np.empty(samples)
 
     def draw_block(lo_hi: tuple[int, int]) -> None:
@@ -624,12 +654,10 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
         free.append((u, draw))
 
     _map(draw_block, list(zip(edges, edges[1:])), lanes)
-    free.clear()  # the uniforms go before the statistics' temporaries come
-    peak = float(norms.max())
-    scaled = (norms / peak) ** p if peak > 0.0 else norms
-    mean, value = _pth_and_value(peak, float(scaled.mean()), p)
-    stderr, _ = _pth_and_value(peak, float(scaled.std(ddof=1) / math.sqrt(samples)), p)
-    return IpResult(value=value, pth_power=mean, method="monte_carlo", stderr=stderr, terms_evaluated=samples)
+    peak, mean, std = _scaled_moments(norms, p)
+    pth, value = _pth_and_value(peak, mean, p)
+    stderr, _ = _pth_and_value(peak, std / math.sqrt(samples), p)
+    return IpResult(value=value, pth_power=pth, method="monte_carlo", stderr=stderr, terms_evaluated=samples)
 
 
 @dataclass(frozen=True)

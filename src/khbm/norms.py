@@ -314,13 +314,13 @@ def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
+    if spec.r == 2.0:  # x * x is |x| * |x| bitwise, without the (rows, d) temporary of abs
+        return np.sqrt(_reduce_rows(np.add, pts * pts))
     a = np.abs(pts)
     if math.isinf(spec.r):
         return _reduce_rows(np.maximum, a)
     if spec.r == 1.0:
         return _reduce_rows(np.add, a)
-    if spec.r == 2.0:
-        return np.sqrt(_reduce_rows(np.add, a * a))
     # scale for overflow safety at large r
     peak = _reduce_rows(np.maximum, a)[..., None]
     safe = np.where(peak == 0.0, 1.0, peak)
@@ -343,6 +343,20 @@ def norm_eval_many(spec: NormSpec, pts: np.ndarray) -> np.ndarray:
         block = flat[i : i + step]
         out[i : i + step] = sum(block[:, j, None] * spec.facets[:, j] for j in range(spec.dim)).max(axis=1)
     return out.reshape(pts.shape[:-1])
+
+
+def _eval_floats(spec: NormSpec, points: int) -> int:
+    """A bound on the float64 values ``norm_eval_many`` holds for ``points`` points, besides the points.
+
+    l^1, l^2 and l^inf hold a (points, d) temporary and a row reduction;
+    another r holds three (points, d) temporaries and three per point.  A
+    gauge holds the result and, per point of a block, up to four rows of
+    facet values and their maximum.
+    """
+    if isinstance(spec, LpNorm):
+        return points * (spec.dim + 1 if spec.r in (1.0, 2.0, math.inf) else 3 * spec.dim + 3)
+    facets = spec.facets.shape[0]
+    return points + min(points, max(1, _GAUGE_BLOCK // facets)) * (4 * facets + 1)
 
 
 def dual_norm_spec(spec: NormSpec) -> NormSpec:

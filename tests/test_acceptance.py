@@ -159,13 +159,16 @@ def test_acceptance_output_is_independent_of_lane_count(monkeypatch, capsys, for
     assert len(forks) == 2 + 3  # a child per extra lane; the two-criterion subset has two lanes at most
 
 
-@pytest.mark.parametrize("budget", [255, 1244, 1_410_729, 100_000])
+@pytest.mark.parametrize("budget", [255, 1244, 480_956, 100_000])
 def test_refusals_are_independent_of_lane_count(monkeypatch, capsys, forks, budget):
     # each budget refuses some criteria of the suite (at 255 seven of them); the
-    # error is the one that the plain serial loop meets first
+    # error is the one that the plain serial loop meets first.  480,956 is one
+    # float short of criterion 4's largest Monte Carlo count, which alone refuses
     monkeypatch.setenv("KHBM_BUDGET", str(budget))
     with pytest.raises(ValueError) as first:
         [run_criterion(cid, 0) for cid in criterion_ids()]
+    if budget == 480_956:
+        assert str(first.value) == "the Monte Carlo samples and largest block need 480957 floats, exceeding budget 480956"
     got = {}
     for lanes in (1, 2):
         monkeypatch.setattr(functional, "_WORKERS", lanes)

@@ -336,3 +336,33 @@ def test_one_process_matches_fresh_processes(monkeypatch, capsys):
     fresh = [subprocess.run([sys.executable, "-m", "khbm.cli", *argv], capture_output=True, text=True) for argv in argvs]
     assert got == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
     assert [code for code, _, _ in got] == [0, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--p", "2"],
+        ["ipf", "--vectors", "{v}", "--atoms", "atoms:1,0.5", "--p", "2", "--norm", "lp:2:2"],
+        ["ipf", "--vectors", "{v}", "--atoms", "atoms:1,0.5", "--p", "2", "--norm", "lp:2:2", "--method", "mc"],
+        ["lemma1", "--x", "1,2", "--k", "1", "--alpha", "1"],
+        ["hanner", "--norm", "lp:2:2", "--q", "2", "--n", "2", "--d", "2", "--mode", "cotype", "--trials", "10"],
+        ["bm", "--pair", "1", "2", "3"],
+        ["verify-theorem1", "--vectors", "{v}", "--atoms", "atoms:1,0.5", "--p", "2", "--q", "2",
+         "--norm", "lp:2:2", "--side", "lower"],
+        ["acceptance", "--criterion", "1"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-2:] if "mc" in argv else argv[:1]),
+)
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_refused_naming_the_flag(capsys, vectors_csv, argv, seed):
+    # refused by the parser in every subcommand, whether or not it draws
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(v=vectors_csv) for a in argv] + ["--seed", seed])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith(f"error: argument --seed: must be a non-negative integer, got '{seed}'\n")
+
+
+def test_negative_sweep_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "lemma1", "--random", "3", "2", "-1")
+    assert (code, out, err) == (2, "", "error: --random needs n >= 1, trials >= 1 and seed >= 0\n")

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from khbm.functional import (
     verify_theorem1,
 )
 from khbm.hanner import hanner_gap
-from khbm.norms import LpNorm, PolytopeGauge, norm_eval, norm_eval_many
+from khbm.norms import LpNorm, PolytopeGauge, describe_norm, norm_eval, norm_eval_many
 
 
 def brute_force_pth_power(v, f, p, norm):
@@ -414,7 +415,7 @@ def test_choice_map_matches_searchsorted_at_every_edge(law):
     u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
     u = np.ascontiguousarray(u[(u >= 0.0) & (u < 1.0)])
     want = values[cdf.searchsorted(u, side="right")]
-    got = _choice_map(values, cdf)(u.copy())
+    got = _choice_map(values, cdf, u.size)(u.copy())
     assert got.tobytes() == want.tobytes()
 
 
@@ -429,16 +430,65 @@ def test_monte_carlo_guide_table_bitwise_equal_one_draw(monkeypatch, law):
 
 
 def test_monte_carlo_memory_guard(monkeypatch):
-    # the stored samples and the largest block, (2n + d) floats a row, are
+    # the stored samples and what the largest block and its map hold are
     # counted against the budget before the first draw
     monkeypatch.setenv("KHBM_BUDGET", str(10**5))
-    with pytest.raises(EnumerationBudgetError, match="need 1400000 floats"):
+    with pytest.raises(EnumerationBudgetError, match="need 515407 floats"):
         ipf_monte_carlo(np.eye(2), rademacher(), 2.0, LpNorm(2.0, 2), samples=200_000, seed=0)
-    # a wide n: 1000 samples fit the budget, but one block of 1000 rows of 400 draws does not
+    # a wide n: 1000 samples fit the budget, but one block of 164 rows of 400 draws does not
     wide = np.ones((400, 2))
-    with pytest.raises(EnumerationBudgetError, match="need 803000 floats, exceeding budget 100000"):
+    with pytest.raises(EnumerationBudgetError, match="need 153444 floats, exceeding budget 100000"):
         ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0)
-    assert ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=100, seed=0).terms_evaluated == 100
+    assert ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=30, seed=0).terms_evaluated == 30
+
+
+_HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0], [0.5, -1.0], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("samples", [2, 120_000])
+@pytest.mark.parametrize(
+    "n, norm",
+    [(n, LpNorm(r, 3)) for n in (1, 3, 10) for r in (1.0, 2.0, 3.0, math.inf)] + [(3, _HEXAGON)],
+    ids=lambda x: describe_norm(x) if hasattr(x, "dim") else f"n{x}",
+)
+def test_monte_carlo_memory_stays_within_its_count(monkeypatch, samples, n, norm):
+    # the traced peak is at most the stored samples plus, per block in flight, the
+    # rest of the count; 120,000 samples of n = 10 cross the 2^20 gate and take two lanes
+    counts, lanes = [], []
+    real_map = functional._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(functional, "_check_floats", lambda floats, budget, what: counts.append(floats))
+    monkeypatch.setattr(functional, "_map", spy)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    v = np.random.default_rng(n).standard_normal((n, norm.dim))
+    f = GUIDE_LAWS["non-dyadic"]  # some buckets are searched
+    ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)  # the pool and numpy's caches come first
+    counts.clear()
+    lanes.clear()
+    tracemalloc.start()
+    try:
+        ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lanes == [2 if samples * n >= functional._PARALLEL else 1]
+    assert peak <= 8 * (samples + lanes[0] * (counts[0] - samples))
+
+
+@pytest.mark.parametrize("size", [2, 7, 8, 9, 127, 128, 129, 10**6])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+def test_scaled_moments_are_numpys_mean_and_std(size, p):
+    # p = 2 takes numpy's square path in both; a zero array has peak 0 and is left unscaled
+    x = np.abs(np.random.default_rng(size).standard_normal(size)) * 1e3
+    for arr in (x, np.zeros(size)):
+        peak = float(arr.max())
+        scaled = (arr / peak) ** p if peak > 0.0 else arr
+        want = (peak, float(scaled.mean()), float(scaled.std(ddof=1)))
+        assert functional._scaled_moments(arr.copy(), p) == want  # bitwise
 
 
 def test_subsets_are_the_combinations_in_colex_order():
@@ -538,7 +588,7 @@ def test_budget_refusals_come_before_any_pool(monkeypatch):
         ipf_two_valued_exact(np.ones((13, 300)), 0.25, 2.0, LpNorm(2.0, 300), budget=2_000_000)
     monkeypatch.setenv("KHBM_BUDGET", str(10**6))
     with pytest.raises(EnumerationBudgetError, match="floats"):
-        ipf_monte_carlo(np.eye(3), rademacher(), 2.0, LpNorm(2.0, 3), samples=400_000, seed=0)
+        ipf_monte_carlo(np.eye(3), rademacher(), 2.0, LpNorm(2.0, 3), samples=800_000, seed=0)
 
 
 def test_blocks_in_flight_fit_the_budget(monkeypatch):

@@ -57,9 +57,10 @@ def _lp_rows_reference(r, pts):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_lp_rows_bitwise_equal_numpy_reduce(d):
-    # the short-axis column loop must reproduce numpy's row reductions bit for bit
+    # the short-axis column loop must reproduce numpy's row reductions bit for bit; l^2 squares x itself, which is
+    # |x| * |x| bitwise, also where the square underflows or overflows
     rng = np.random.default_rng(d)
-    pts = rng.standard_normal((3000, d)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0], size=(3000, 1))
+    pts = rng.standard_normal((3000, d)) * 10.0 ** rng.choice([-300.0, -150.0, 0.0, 150.0, 300.0], size=(3000, 1))
     pts[::7] = 0.0
     with np.errstate(over="ignore", under="ignore"):
         for r in (1.0, 1.5, 2.0, 3.0, math.inf):
