@@ -17,8 +17,8 @@ with
     C = B_q * max{m^(1/p), m^(1/2)} * (sup level),   m = total support mass
 
 where the supremum ranges over one-sided superlevel masses s.  The
-supremum is attained at an atom-prefix breakpoint; interior critical
-points of each closed-form piece are scanned as well for safety.
+supremum is attained at an atom-prefix breakpoint, so only those are
+evaluated (see ``theorem1_lower_constant``).
 """
 
 from __future__ import annotations
@@ -149,35 +149,18 @@ def envelope_upper(f: SymmetricAtoms) -> SymmetricAtoms:
     return SymmetricAtoms(((f.atoms[0][0], float(f.masses.sum())),))
 
 
-def _lower_objective_candidates(f: SymmetricAtoms, beta: float) -> list[float]:
-    # candidate one-sided masses: atom-prefix breakpoints plus interior
-    # critical points of each piece of s -> (2s)^beta * 2*G(s)
-    masses = f.masses
-    levels = f.levels
-    prefix_s = np.concatenate(([0.0], np.cumsum(masses)))
-    prefix_g = np.concatenate(([0.0], np.cumsum(levels * masses)))
-    cands = list(prefix_s[1:])
-    for j in range(len(f.atoms)):
-        lo, hi = prefix_s[j], prefix_s[j + 1]
-        a = levels[j]
-        c = prefix_g[j] - a * lo  # G(s) = c + a*s on this piece
-        denom = a * (1.0 + beta)
-        if denom > 0.0 and beta != 0.0:
-            s_star = -beta * c / denom
-            if lo < s_star < hi:
-                cands.append(float(s_star))
-    return cands
-
-
 def theorem1_lower_constant(f: SymmetricAtoms, p: float, q: float) -> tuple[float, float]:
     """Lower bound constant and the maximizing one-sided mass.
 
     c = A_q * sup over superlevel masses s of
         min{(2s)^(1/p-1), (2s)^(-1/2)} * 2*G(s)
     where G(s) is the integral of the s largest one-sided levels.  Since
-    2s <= 1, the min picks the branch with the larger exponent, which
-    does not depend on s; each closed-form piece is then maximized at a
-    breakpoint (interior critical points are minima, scanned anyway).
+    2s <= 1, the min picks the branch (2s)^beta with the larger exponent,
+    beta in [-1/2, 0], which does not depend on s.  On the piece of atom j,
+    G(s) = c + a_j s with c >= 0, and the derivative of s^beta (c + a_j s)
+    has the sign of beta c + (1 + beta) a_j s, which changes from - to +:
+    its one critical point is a minimum.  So the supremum is attained at
+    an atom-prefix mass s = t_1 + ... + t_j, and only those are evaluated.
     """
     if not (1.0 <= q <= p):
         raise ValueError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -185,7 +168,7 @@ def theorem1_lower_constant(f: SymmetricAtoms, p: float, q: float) -> tuple[floa
         raise ValueError("lower constant of the zero law is undefined")
     beta = max(1.0 / p - 1.0, -0.5)
     best_val, best_s = -math.inf, None
-    for s in _lower_objective_candidates(f, beta):
+    for s in np.cumsum(f.masses):
         val = (2.0 * s) ** beta * 2.0 * _top_mass_integral(f, s)
         if val > best_val:
             best_val, best_s = val, s

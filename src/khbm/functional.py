@@ -29,14 +29,15 @@ few MB; each unit keeps its largest norm M_i and
 sum_j w_j (||s_j||/M_i)^p, and the pairs are rescaled to the overall
 largest norm and combined with ``math.fsum``.  Results therefore do not
 depend on the block size, and no norm is raised to the power p before
-it is scaled, so large p cannot overflow (see ``IpResult``).  The half
-tables and the largest block are counted, in float64 values, against the
-same budget as the terms.  ``hanner.hanner_gap`` uses the same kernel
-for its sign sums.
+it is scaled, so large p cannot overflow (see ``IpResult``).
 
-The kernel has a leading stack axis: it takes B tuples (B, n, d) with
-one support (k,) or one per tuple (B, k), and returns one pair per
-tuple.  ``ipf_exact`` and ``hanner`` pass B = 1; ``_ipf_exact_many``
+The kernel, ``_enumerate_pth_power``, is the one door to exact
+enumeration: it checks p >= 1 and the k^n terms against the budget,
+counts the half tables and the largest block, in float64 values, against
+the same budget, and returns one ``IpResult`` per tuple.  It takes B
+tuples (B, n, d) with one support (B, k) per tuple.  ``ipf_exact`` and
+``hanner.hanner_gap``, whose sign sums are the Rademacher case, pass
+one-tuple views (``rows[None]``, ``values[None]``); ``_ipf_exact_many``
 passes the cases of one n, support size and p, which is how the
 acceptance suites that make thousands of tiny calls evaluate them.  A
 block is either a unit range of one tuple, as above, or, when a tuple
@@ -58,7 +59,8 @@ still yields its own pair, so the fold sees what a loop over single
 subsets would give.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
 samples, and each uniform u becomes the support value at index
 ``searchsorted(cdf, u, side="right")`` on the normalized cumulative
-weights, as ``Generator.choice`` maps it, by a guide table of
+weights of ``_law_support``, a fixed permutation of the kernel's cached
+support, as ``Generator.choice`` maps it, by a guide table of
 ``_MC_TABLE`` buckets over [0, 1) (Chen & Asau, AIIE Trans. 6, 1974;
 Devroye 1986, III.2.4): a bucket that no cdf point falls inside maps
 every uniform in it to one value, so only uniforms in the at most k - 1
@@ -212,20 +214,6 @@ class IpResult:
     terms_evaluated: int
 
 
-def _law_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
-    # support values and weights, with the zero atom dropped when its
-    # probability is exactly zero; Monte Carlo draws indices in this order
-    values, weights = [], []
-    w0 = f.zero_mass
-    if w0 > 0.0 or not f.atoms:
-        values.append(0.0)
-        weights.append(w0 if f.atoms else 1.0)
-    for a, t in f.atoms:
-        values.extend((a, -a))
-        weights.extend((t, t))
-    return np.array(values), np.array(weights)
-
-
 @lru_cache(maxsize=256)
 def _sorted_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
     # the support in ascending order (levels decrease), so each value sits
@@ -238,6 +226,14 @@ def _sorted_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
     values.flags.writeable = False  # cached and shared by every caller
     weights.flags.writeable = False
     return values, weights
+
+
+def _law_support(f: SymmetricAtoms) -> tuple[np.ndarray, np.ndarray]:
+    # Monte Carlo's draw order: 0 (when it has mass), a_1, -a_1, a_2, -a_2, ...
+    values, weights = _sorted_support(f)
+    k = len(values)
+    order = [k // 2] * (k % 2) + [i for j in range(k // 2) for i in (k - 1 - j, j)]
+    return values[order], weights[order]
 
 
 def _check_dims(rows: np.ndarray, norm: NormSpec):
@@ -380,25 +376,31 @@ def _pth_and_value(peak: float, scaled: float, p: float) -> tuple[float, float]:
 
 
 def _enumerate_pth_power(
-    rows: np.ndarray, values: np.ndarray, weights: np.ndarray, p: float, norm: NormSpec, budget: int | None = None
-) -> tuple[list[tuple[float, float]], int]:
-    """Meet-in-the-middle sums over all k^n support assignments of w ||sum c_i v_i||^p, one per tuple.
+    rows: np.ndarray, values: np.ndarray, weights: np.ndarray, p: float, norm: NormSpec, budget: int
+) -> list[IpResult]:
+    """Exact I_p for each of a stack of tuples, by meet-in-the-middle sums of w ||sum c_i v_i||^p.
 
-    ``rows`` is a (B, n, d) stack of tuples; ``values`` and ``weights`` are
-    one ascending support (k,) for the whole stack or one per tuple (B, k);
-    ``p`` is one scalar.  Returns a pair (M, S) per tuple, with sum = M^p S
-    and M the tuple's largest norm, and k^n.  The first h coordinates and
-    the rest are enumerated once each as half tables of partial sums and
-    weights; a unit is one row of the first table against the whole second
-    table, evaluated by a broadcast outer sum.  The law is symmetric, so
-    the first coordinate runs over {0} and the positive levels only and a
-    nonzero first value counts twice (c and -c have equal weights and
-    norms).  A block is either a unit range of one tuple or, when a tuple
-    fits in one, as many whole tuples as ``_CHUNK`` and the budget hold.
+    ``rows`` is a (B, n, d) stack of tuples and ``values`` and ``weights``
+    one ascending support (B, k) per tuple; ``p`` is one scalar.  p >= 1
+    and k^n terms within ``budget`` are checked here, before anything is
+    allocated.  For each tuple the sum = M^p S is kept as M, its largest
+    norm, and S.  The first h coordinates and the rest are enumerated once
+    each as half tables of partial sums and weights; a unit is one row of
+    the first table against the whole second table, evaluated by a
+    broadcast outer sum.  The law is symmetric, so the first coordinate
+    runs over {0} and the positive levels only and a nonzero first value
+    counts twice (c and -c have equal weights and norms).  A block is
+    either a unit range of one tuple or, when a tuple fits in one, as many
+    whole tuples as ``_CHUNK`` and the budget hold.
     """
-    budget = default_budget() if budget is None else budget
+    if not p >= 1.0:
+        raise ValueError(f"need p >= 1, got {p}")
     count, n, d = rows.shape
-    k = values.shape[-1]
+    k = values.shape[1]
+    if k**n > budget:
+        raise EnumerationBudgetError(
+            f"{k}^{n} = {k**n} weighted terms exceed budget {budget}; use ipf_monte_carlo instead"
+        )
     h = max(1, n // 2)
     units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
     step = _block_rows(units, unit_len)
@@ -413,44 +415,29 @@ def _enumerate_pth_power(
         top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[:, i : i + step, None] + sums_b[:, None]), w_b, p)
         return top.tolist(), (w_a[..., i : i + step] * scaled).tolist()
 
-    pairs = []
+    out = []
     for a in range(0, count, per):
         b = min(a + per, count)
-        vals, wts = (values, weights) if values.ndim == 1 else (values[a:b], weights[a:b])
+        vals, wts = values[a:b], weights[a:b]
         # take keeps a gathered stack C-contiguous: numpy multiplies a strided one without BLAS, rounding differently
         sums_a, sums_b = vals.take(digits_a, -1) @ rows[a:b, :h], vals.take(digits_b, -1) @ rows[a:b, h:]
         w_a = wts.take(digits_a, -1).prod(axis=-1) * mult
         w_b = wts.take(digits_b, -1).prod(axis=-1)[..., None, :]
         starts = range(0, units, step)
         parts = _map(partial(block, (sums_a, sums_b, w_a, w_b)), starts, _lanes(len(starts), k**n, floats, budget))
-        pairs += [_fold_blocks([(tops[j], sums[j]) for tops, sums in parts], p) for j in range(b - a)]
-    return pairs, k**n
-
-
-def _check_terms(k: int, n: int, budget: int) -> None:
-    if k**n > budget:
-        raise EnumerationBudgetError(
-            f"{k}^{n} = {k**n} weighted terms exceed budget {budget}; "
-            "use ipf_monte_carlo instead"
-        )
-
-
-def _exact_result(peak: float, scaled: float, p: float, terms: int) -> IpResult:
-    pth, value = _pth_and_value(peak, scaled, p)
-    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
+        for j in range(b - a):
+            pth, value = _pth_and_value(*_fold_blocks([(tops[j], sums[j]) for tops, sums in parts], p), p)
+            out.append(IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=k**n))
+    return out
 
 
 def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
     """I_p(v, f) by exhaustive weighted enumeration of the law's support."""
-    if not p >= 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
     rows = _as_rows(v)
     _check_dims(rows, norm)
-    budget = default_budget() if budget is None else budget
     values, weights = _sorted_support(f)
-    _check_terms(len(values), rows.shape[0], budget)
-    [(peak, scaled)], terms = _enumerate_pth_power(rows[None], values, weights, p, norm, budget)
-    return _exact_result(peak, scaled, p, terms)
+    budget = default_budget() if budget is None else budget
+    return _enumerate_pth_power(rows[None], values[None], weights[None], p, norm, budget)[0]
 
 
 def _ipf_exact_many(cases: Sequence[tuple[np.ndarray, SymmetricAtoms, float]], norm: NormSpec) -> list[IpResult]:
@@ -469,15 +456,11 @@ def _ipf_exact_many(cases: Sequence[tuple[np.ndarray, SymmetricAtoms, float]], n
     for i, ((v, _, p), (values, _)) in enumerate(zip(cases, supports)):
         stacks.setdefault((len(v), len(values), p), []).append(i)
     out = [None] * len(cases)
-    for (n, k, p), idx in stacks.items():
-        if not p >= 1.0:
-            raise ValueError(f"need p >= 1, got {p}")
-        _check_terms(k, n, budget)
-        rows = np.stack([cases[i][0] for i in idx])
+    for (_, _, p), idx in stacks.items():
         values, weights = (np.stack([supports[i][j] for i in idx]) for j in (0, 1))
-        pairs, terms = _enumerate_pth_power(rows, values, weights, p, norm, budget)
-        for i, (peak, scaled) in zip(idx, pairs):
-            out[i] = _exact_result(peak, scaled, p, terms)
+        results = _enumerate_pth_power(np.stack([cases[i][0] for i in idx]), values, weights, p, norm, budget)
+        for i, res in zip(idx, results):
+            out[i] = res
     return out
 
 

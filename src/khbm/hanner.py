@@ -14,17 +14,22 @@ tuples for a violation of a claimed mode.  The three-vector inequality
 is checked by ``hlawka_check``; norms satisfying it have cotype (1, 3).
 
 The lhs is 2^n I_q(x, Rademacher)^q and the rhs the same sum on the real
-line over the norms ||x_i||, so ``hanner_gap`` evaluates both with the
-enumeration kernel of ``functional.ipf_exact`` (meet-in-the-middle
-tables, bounded blocks, the largest term factored out).  Both sides are
-invariant under negating all signs, so enumeration fixes eps_1 = +1 and
-doubles the half sum, here and in ``falsify_hanner``.  Each mirrored term
-is bitwise equal to its partner (negation and absolute value are exact),
-so the doubling is exact as well.
+line over the norms ||x_i||, so ``hanner_gap`` evaluates both through the
+exact kernel of ``functional``, one tuple each (meet-in-the-middle
+tables, bounded blocks, the largest term factored out); the kernel's
+checks apply, so q < 1 and 2^n terms over the budget are refused with
+``ipf_exact``'s messages.  Both sides are invariant under negating all
+signs, so enumeration fixes eps_1 = +1 and doubles the half sum, here and
+in ``falsify_hanner``.  Each mirrored term is bitwise equal to its
+partner (negation and absolute value are exact), so the doubling is
+exact as well.  A side that leaves the double range has no usable gap,
+so ``hanner_gap``, and ``falsify_hanner`` at such a trial before any
+violation, raise ``ValueError`` naming q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +43,6 @@ from .functional import (
     _check_floats,
     _edges,
     _enumerate_pth_power,
-    _pth_and_value,
     _sign_matrix,
     default_budget,
 )
@@ -48,14 +52,13 @@ __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", 
 
 _MAX_N = 20
 _ROWS = 1 << 14  # sign-sum rows per falsifier batch: its (rows, d) sums stay at a few hundred KB
-_SIGNS, _HALVES = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+_SIGNS, _HALVES = np.array([[-1.0, 1.0]]), np.array([[0.5, 0.5]])  # the Rademacher support, a stack of one
 _ABS = LpNorm(1.0, 1)  # |t| on the real line
 
 
-def _sign_sum(rows: np.ndarray, q: float, norm: NormSpec) -> float:
+def _sign_sum(rows: np.ndarray, q: float, norm: NormSpec, budget: int) -> float:
     # sum over all 2^n sign vectors = 2^n I_q(rows, Rademacher)^q
-    [(peak, scaled)], _ = _enumerate_pth_power(rows[None], _SIGNS, _HALVES, q, norm)
-    return _pth_and_value(peak, scaled, q)[0] * 2.0 ** rows.shape[0]
+    return _enumerate_pth_power(rows[None], _SIGNS, _HALVES, q, norm, budget)[0].pth_power * 2.0 ** rows.shape[0]
 
 
 def _half_signs(n: int) -> np.ndarray:
@@ -90,17 +93,19 @@ def hanner_gap(norm: NormSpec, vectors, q: float, mode: Optional[str] = None) ->
 
     Without ``mode`` the verdict only records which inequality the gap
     is consistent with; with a claimed mode it reports violations
-    relative to the standard slack.
+    relative to the standard slack.  A side that leaves the double range
+    is refused, since its gap would be inf or nan.
     """
-    if not q >= 1.0:
-        raise ValueError(f"need q >= 1, got {q}")
     rows = _as_rows(vectors)
     n = rows.shape[0]
     if n > _MAX_N:
         raise ValueError(f"sign enumeration supports n <= {_MAX_N}, got {n}")
     _check_dims(rows, norm)
-    lhs = _sign_sum(rows, q, norm)
-    rhs = _sign_sum(norm_eval_many(norm, rows)[:, None], q, _ABS)
+    budget = default_budget()
+    lhs = _sign_sum(rows, q, norm, budget)
+    rhs = _sign_sum(norm_eval_many(norm, rows)[:, None], q, _ABS, budget)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"the sign sums at q = {q} leave the double range")
     gap = lhs - rhs
     return HannerReport(q=q, n=n, lhs=lhs, rhs=rhs, gap=gap, verdict=_verdict(gap, lhs, rhs, mode))
 
@@ -120,7 +125,8 @@ def falsify_hanner(
 
     Returns the first violating tuple (normalized to unit Frobenius
     norm, with the relative violation magnitude) or None.  Deterministic
-    in (seed, trials); trials are scanned in draw order.
+    in (seed, trials); trials are scanned in draw order, and a trial whose
+    sign sums leave the double range before any violation is refused.
     """
     if mode not in ("cotype", "type"):
         raise ValueError(f"mode must be 'cotype' or 'type', got {mode!r}")
@@ -150,9 +156,12 @@ def falsify_hanner(
         rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)
         gap = lhs - rhs
         cushion = np.maximum(tol.ABS_SLACK, tol.REL_SLACK * np.maximum(lhs, rhs))
-        bad = gap > cushion if mode == "type" else gap < -cushion
+        over = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        bad = (gap > cushion if mode == "type" else gap < -cushion) | over
         if np.any(bad):
             i = int(np.argmax(bad))
+            if over[i]:
+                raise ValueError(f"the sign sums at q = {q} leave the double range")
             scale = max(lhs[i], rhs[i])
             witness = batch[i] / np.linalg.norm(batch[i])
             return FalsificationResult(

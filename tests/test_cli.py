@@ -101,6 +101,22 @@ def test_hanner_falsifier_none_found(capsys):
     assert json.loads(out)["report"]["found"] is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["--vectors", "big.csv", "--mode", "cotype"], ["--mode", "type", "--n", "2", "--d", "2", "--trials", "1000"]],
+    ids=["gap", "search"],
+)
+def test_hanner_refuses_sign_sums_that_overflow(capsys, tmp_path, monkeypatch, argv):
+    # at q = 1000 the l^1 sign sums leave the double range: the gap would be inf - inf = nan,
+    # and a search would scan every trial and report none found
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("3,1\n-2,5\n")
+    code, out, err = run_cli(capsys, "hanner", "--norm", "lp:1:2", "--q", "1000", *argv)
+    assert code == 2 and out == ""
+    assert "q = 1000.0 leave the double range" in err
+
+
 def test_hanner_requires_mode_for_search(capsys):
     code, _, err = run_cli(capsys, "hanner", "--norm", "lp:1:2", "--q", "1", "--n", "2", "--d", "2")
     assert code == 2

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from khbm.constants import lower_constant
 from khbm.distributions import (
     SymmetricAtoms,
+    _top_mass_integral,
     envelope_upper,
     f_norms,
     l2_lower_constant,
@@ -135,6 +137,28 @@ def test_lower_constant_beats_grid_scan():
         want = lower_constant(q) * best
         assert c >= want - 1e-9
         assert c <= want * (1.0 + 1e-3)  # grid is only a lower envelope
+
+
+def test_lower_constant_is_the_largest_prefix_value():
+    # each piece's one critical point is a minimum, so the atom-prefix masses alone give the supremum;
+    # levels span 1e-3..1e3 and masses reach down to 1e-12
+    rng = np.random.default_rng(18)
+    for i in range(3000):
+        m = int(rng.integers(1, 6))
+        levels = np.sort(10.0 ** rng.uniform(-3.0, 3.0, size=m))[::-1]
+        masses = 10.0 ** rng.uniform(-12.0, 0.0, size=m)
+        masses *= rng.uniform(1e-6, 0.5) / masses.sum()
+        if len(set(levels.tolist())) < m:
+            continue
+        f = SymmetricAtoms(tuple(zip(levels.tolist(), masses.tolist())))
+        q = (1.0, 1.5, 2.0)[i % 3]
+        p = q + float(rng.uniform(0.0, 5.0))
+        beta = max(1.0 / p - 1.0, -0.5)
+        prefixes = np.cumsum(f.masses)
+        values = [(2.0 * s) ** beta * 2.0 * _top_mass_integral(f, s) for s in prefixes]
+        c, witness = theorem1_lower_constant(f, p, q)
+        assert witness == prefixes[values.index(max(values))]
+        assert c == lower_constant(q) * max(values)  # bitwise
 
 
 def test_lower_constant_validation():

@@ -170,6 +170,36 @@ def test_stack_refusal_names_the_first_refused_case(monkeypatch):
         _ipf_exact_many(cases, LpNorm(2.0, 1))
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_exact_routes_refuse_a_bad_p_alike(p):
+    # p is checked once, in the kernel, whichever exact route reaches it
+    v, norm = np.ones((3, 2)), LpNorm(2.0, 2)
+    for route in (
+        lambda: ipf_exact(v, rademacher(), p, norm),
+        lambda: _ipf_exact_many([(v, rademacher(), p)], norm),
+        lambda: hanner_gap(norm, v, p),
+    ):
+        with pytest.raises(ValueError, match=rf"^need p >= 1, got {p}$"):
+            route()
+
+
+def test_exact_routes_refuse_the_term_budget_alike(monkeypatch):
+    # the k^n term budget too, hanner_gap's sign sums included
+    v, norm = np.ones((3, 2)), LpNorm(2.0, 2)
+    routes = (
+        lambda: ipf_exact(v, rademacher(), 2.0, norm).pth_power,
+        lambda: _ipf_exact_many([(v, rademacher(), 2.0)], norm)[0].pth_power,
+        lambda: hanner_gap(norm, v, 2.0).lhs,
+    )
+    want = [route() for route in routes]
+    monkeypatch.setenv("KHBM_BUDGET", "7")
+    for route in routes:
+        with pytest.raises(EnumerationBudgetError, match=r"^2\^3 = 8 weighted terms exceed budget 7; use ipf_monte_carlo"):
+            route()
+    monkeypatch.setenv("KHBM_BUDGET", "100")
+    assert [route() for route in routes] == want
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [300.0, 400.0, 1000.0])
 def test_large_p_value_does_not_overflow(p):
@@ -352,6 +382,23 @@ def choice_monte_carlo(v, f, p, norm, samples, seed):
     mean, value = functional._pth_and_value(peak, float(scaled.mean()), p)
     stderr, _ = functional._pth_and_value(peak, float(scaled.std(ddof=1) / math.sqrt(samples)), p)
     return value, mean, stderr
+
+
+@pytest.mark.parametrize(
+    "law, values, weights",
+    [
+        (SymmetricAtoms(((2.0, 0.125), (1.0, 0.25))), [0.0, 2.0, -2.0, 1.0, -1.0], [0.25, 0.125, 0.125, 0.25, 0.25]),
+        (SymmetricAtoms(((2.0, 0.25), (0.7, 0.25))), [2.0, -2.0, 0.7, -0.7], [0.25, 0.25, 0.25, 0.25]),
+        (rademacher(), [1.0, -1.0], [0.5, 0.5]),
+        (SymmetricAtoms(()), [0.0], [1.0]),
+    ],
+    ids=["two-atom", "full-two-atom", "fair", "zero"],
+)
+def test_law_support_is_the_monte_carlo_draw_order(law, values, weights):
+    # Monte Carlo maps each uniform to an index of this order, so it is part of the seed contract
+    got_values, got_weights = _law_support(law)
+    assert got_values.tobytes() == np.array(values).tobytes()
+    assert got_weights.tobytes() == np.array(weights).tobytes()
 
 
 @pytest.mark.parametrize("samples", [2, 1 << 16, (1 << 16) + 1, (1 << 17) + 1])

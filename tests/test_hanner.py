@@ -167,6 +167,24 @@ def test_falsifier_budget_counts_sign_table_and_batch(monkeypatch):
         falsify_hanner(LpNorm(2.0, 3), q=2.0, n=20, d=3, mode="type", trials=3, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_falsifier_refuses_an_overflow_only_before_a_violation():
+    # seed 0 draws a trial whose l^1 sign sums at q = 400 leave the double range,
+    # after the cotype violation at trial 0 and before any type violation
+    args = dict(q=400.0, n=2, d=2, trials=1000, seed=0)
+    with pytest.raises(ValueError, match=r"^the sign sums at q = 400\.0 leave the double range$"):
+        falsify_hanner(LpNorm(1.0, 2), mode="type", **args)
+    assert falsify_hanner(LpNorm(1.0, 2), mode="cotype", **args).trial_index == 0
+
+
+def test_gap_refuses_sign_sums_that_overflow():
+    # 1e5-scale vectors at q = 300: every sign sum's q-th power exceeds the double range
+    v = 1e5 * np.array([[3.0, 1.0], [-2.0, 5.0]])
+    with pytest.raises(ValueError, match=r"^the sign sums at q = 300\.0 leave the double range$"):
+        hanner_gap(LpNorm(1.0, 2), v, 300.0)
+    assert math.isfinite(hanner_gap(LpNorm(1.0, 2), v, 30.0).gap)
+
+
 def test_falsifier_quiet_on_consistent_claims():
     # absolute-sum norms do satisfy the q = 1 cotype inequality
     assert falsify_hanner(LpNorm(1.0, 3), q=1.0, n=3, d=3, mode="cotype", trials=2000, seed=1) is None
