@@ -100,7 +100,7 @@ def _envelope(args: argparse.Namespace, report: Any) -> dict:
         "version": __version__,
         "subcommand": args.cmd,
         "seed": getattr(args, "seed", 0),
-        "budget": getattr(args, "budget", None) or default_budget(),
+        "budget": default_budget(),
         "slack": {
             "rel": getattr(args, "rel_slack", tol.REL_SLACK),
             "abs": getattr(args, "abs_slack", tol.ABS_SLACK),
@@ -146,7 +146,7 @@ def _run_ipf(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
     f = parse_atoms(args.atoms)
     norm = parse_norm_spec(args.norm)
     if args.method == "exact":
-        res = ipf_exact(v, f, args.p, norm, budget=args.budget)
+        res = ipf_exact(v, f, args.p, norm)
     else:
         res = ipf_monte_carlo(v, f, args.p, norm, samples=args.samples, seed=args.seed)
     report = dict(dataclasses.asdict(res), norm=describe_norm(norm), p=args.p, n=v.shape[0])
@@ -178,7 +178,7 @@ def _run_lemma1(args: argparse.Namespace) -> tuple[Any, Optional[list], int]:
     rows: list[Sequence[str]] = [("x_hash", "k", "alpha", "ratio", "lo", "hi", "holds")]
     violated = False
     for x, k, alpha in cases:
-        rep = verify_lemma1(SubsetRatioInput(x, k, alpha), budget=args.budget)
+        rep = verify_lemma1(SubsetRatioInput(x, k, alpha))
         violated = violated or not rep.holds
         h = _x_hash(x)
         entries.append(dict(dataclasses.asdict(rep), x_hash=h, x=list(x)))
@@ -290,10 +290,7 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
     sides = ("lower", "upper") if args.side == "both" else (args.side,)
     checks = [
         dataclasses.asdict(
-            verify_theorem1(
-                v, f, args.p, args.q, norm,
-                side=s, rel_slack=args.rel_slack, abs_slack=args.abs_slack, budget=args.budget,
-            )
+            verify_theorem1(v, f, args.p, args.q, norm, side=s, rel_slack=args.rel_slack, abs_slack=args.abs_slack)
         )
         for s in sides
     ]
@@ -303,7 +300,7 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
         # fails on small-support laws, and a failure here is a finding
         if not (isinstance(norm, LpNorm) and norm.r == 2.0):
             raise UsageError("--paper-l2-constant requires a euclidean norm (lp:2:<d>)")
-        ip = ipf_exact(v, f, args.p, norm, budget=args.budget).value
+        ip = ipf_exact(v, f, args.p, norm).value
         c = l2_lower_constant(f, args.p, paper_variant=True)
         rhs = c * float(np.sqrt((np.asarray(v, dtype=float) ** 2).sum()))
         checks.append(
@@ -346,11 +343,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp: argparse.ArgumentParser, budget: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=_seed, default=0, help="seed for every randomized step (default 0)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    if budget:
-        sp.add_argument("--budget", type=int, default=None, help="enumeration term limit (default KHBM_BUDGET or 10^8)")
 
 
 @functools.cache  # parsing never mutates the parser, so one per process serves every main() call
@@ -361,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constants", help="moment-comparison constants for one exponent")
     sp.add_argument("--p", type=float, required=True)
-    _add_common(sp, budget=False)
+    _add_common(sp)
 
     sp = sub.add_parser("ipf", help="p-th moment of a signed-law vector sum")
     sp.add_argument("--vectors", required=True, help="csv file, one vector per row")
@@ -387,13 +382,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("cotype", "type"))
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--vectors", help="csv file for a single exact check")
-    _add_common(sp, budget=False)
+    _add_common(sp)
 
     sp = sub.add_parser("bm", help="distance bounds between two classical balls")
     sp.add_argument("--pair", nargs=3, required=True, metavar=("P", "Q", "N"))
     sp.add_argument("--methods", choices=tuple(_METHOD_GROUPS), default="all")
     sp.add_argument("--transforms", help="comma list: identity,hadamard,diag:<csv>")
-    _add_common(sp, budget=False)
+    _add_common(sp)
 
     sp = sub.add_parser("verify-theorem1", help="check the two-sided moment bound on one instance")
     sp.add_argument("--vectors", required=True)
@@ -416,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("acceptance", help="run the numbered acceptance criteria")
     sp.add_argument("--criterion", type=int, action="append", help="run one criterion (repeatable)")
-    _add_common(sp, budget=False)
+    _add_common(sp)
 
     return parser
 

@@ -66,7 +66,7 @@ def _subset_rows(m: int, j: int) -> np.ndarray:
     return rows
 
 
-def subset_power_ratio(inp: SubsetRatioInput, budget: int | None = None) -> float:
+def subset_power_ratio(inp: SubsetRatioInput) -> float:
     """Exact ratio by meet-in-the-middle over the two halves of x.
 
     A k-subset is a j-subset of the first h entries joined with a
@@ -78,7 +78,7 @@ def subset_power_ratio(inp: SubsetRatioInput, budget: int | None = None) -> floa
     block size.  For n <= ``_SPLIT_N`` the first half is empty and one
     unit holds all C(n, k) subset sums.
     """
-    budget = default_budget() if budget is None else budget
+    budget = default_budget()
     n, k = len(inp.x), inp.k
     count = math.comb(n, k)
     if count > budget:
@@ -134,9 +134,9 @@ class Lemma1Report:
     holds: bool
 
 
-def verify_lemma1(inp: SubsetRatioInput, budget: int | None = None) -> Lemma1Report:
+def verify_lemma1(inp: SubsetRatioInput) -> Lemma1Report:
     """Compute the ratio and check it against the sharp bounds (1e-12 slack)."""
-    ratio = subset_power_ratio(inp, budget=budget)
+    ratio = subset_power_ratio(inp)
     lower, upper = lemma1_bounds(len(inp.x), inp.k, inp.alpha)
     holds = tol.geq(ratio, lower, rel=tol.REL_IDENTITY) and tol.leq(ratio, upper, rel=tol.REL_IDENTITY)
     return Lemma1Report(

@@ -81,11 +81,12 @@ checks the count against the traced peak.
 
 The blocks of these three routes are independent, and a call of at
 least ``_PARALLEL`` (2^20) terms or uniforms runs them on up to
-``_WORKERS`` threads: the calling thread and a pool made on first use,
-one per available core, at most ``_MAX_WORKERS``.  numpy releases the
-interpreter lock inside its loops and BLAS calls, so the blocks overlap.
-Smaller calls, such as every call of the acceptance criteria and ``bm``
-reports, start no thread.  The bits cannot depend on the worker count: block edges
+``_WORKERS`` threads, one per available core, at most ``_MAX_WORKERS``:
+the calling thread and a pool that the call opens and shuts down, so no
+thread outlives the call.  numpy releases the interpreter lock inside its
+loops and BLAS calls, so the blocks overlap.  Smaller calls, such as
+every call of the acceptance criteria and ``bm`` reports, start no
+thread.  The bits cannot depend on the worker count: block edges
 depend on the input alone; each exact block's pairs go through ``_fold``,
 whose maximum and exactly rounded ``math.fsum`` ignore their order; and
 each Monte Carlo block draws from its own Philox generator, advanced by
@@ -274,23 +275,20 @@ def _lanes(blocks: int, terms: int, floats: int, budget: int) -> int:
     return max(1, min(_WORKERS, blocks, budget // floats))
 
 
-@lru_cache(maxsize=1)
-def _pool():
-    from concurrent.futures import ThreadPoolExecutor  # imported on first use: calls below _PARALLEL never load it
-
-    return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="khbm")
-
-
 def _map(fn: Callable, blocks: Sequence, lanes: int) -> list:
     """``[fn(b) for b in blocks]``, by ``lanes`` threads taking blocks in turn.
 
-    The calling thread is one lane and pool threads are the others.  A
-    block's result depends on the block alone, so the list is the same
-    however the blocks are shared out.  Every lane ends before an error
-    from any of them is raised.
+    The calling thread is one lane, and the threads of a pool opened for
+    this call are the others; the pool is shut down, its threads joined,
+    before the call returns, so no thread outlives it.  A block's result
+    depends on the block alone, so the list is the same however the
+    blocks are shared out.  Every lane ends before an error from any of
+    them is raised.
     """
     if lanes < 2:
         return [fn(b) for b in blocks]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: calls below _PARALLEL never load it
+
     out = [None] * len(blocks)
     todo, lock = iter(range(len(blocks))), threading.Lock()
 
@@ -302,13 +300,10 @@ def _map(fn: Callable, blocks: Sequence, lanes: int) -> list:
         for i in iter(take, None):
             out[i] = fn(blocks[i])
 
-    futures = [_pool().submit(lane) for _ in range(lanes - 1)]
-    try:
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="khbm") as pool:
+        futures = [pool.submit(lane) for _ in range(lanes - 1)]
         lane()
-    finally:
-        # a lane no pool thread has started (after a fork, none ever will) has nothing left to take
-        errors = [None if f.cancel() else f.exception() for f in futures]
-    for error in errors:
+    for error in [f.exception() for f in futures]:
         if error is not None:
             raise error
     return out
@@ -431,13 +426,12 @@ def _enumerate_pth_power(
     return out
 
 
-def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
+def ipf_exact(v, f: SymmetricAtoms, p: float, norm: NormSpec) -> IpResult:
     """I_p(v, f) by exhaustive weighted enumeration of the law's support."""
     rows = _as_rows(v)
     _check_dims(rows, norm)
     values, weights = _sorted_support(f)
-    budget = default_budget() if budget is None else budget
-    return _enumerate_pth_power(rows[None], values[None], weights[None], p, norm, budget)[0]
+    return _enumerate_pth_power(rows[None], values[None], weights[None], p, norm, default_budget())[0]
 
 
 def _ipf_exact_many(cases: Sequence[tuple[np.ndarray, SymmetricAtoms, float]], norm: NormSpec) -> list[IpResult]:
@@ -495,7 +489,7 @@ def _subsets(n: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | None = None) -> IpResult:
+def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
     """I_p for the two-valued law {(1, t)} via the subset/sign expansion.
 
     This is an independent route from ``ipf_exact``: it groups
@@ -509,7 +503,7 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec, budget: int | No
         raise ValueError(f"need p >= 1, got {p}")
     rows = _as_rows(v)
     _check_dims(rows, norm)
-    budget = default_budget() if budget is None else budget
+    budget = default_budget()
     n = rows.shape[0]
     w0 = 1.0 - 2.0 * t
     bound = 3**n if w0 > 0.0 else 2**n
@@ -670,7 +664,6 @@ def verify_theorem1(
     side: str,
     rel_slack: float = tol.REL_SLACK,
     abs_slack: float = tol.ABS_SLACK,
-    budget: int | None = None,
 ) -> BoundCheck:
     """Check one side of the moment bound by exact enumeration.
 
@@ -679,7 +672,7 @@ def verify_theorem1(
     Hanner type (q, n).  The hypothesis itself is not verified here.
     """
     rows = _as_rows(v)
-    ip = ipf_exact(rows, f, p, norm, budget=budget)
+    ip = ipf_exact(rows, f, p, norm)
     scale = _l2_of_norms(rows, norm)
     if side == "lower":
         c, witness = theorem1_lower_constant(f, p, q)

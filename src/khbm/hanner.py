@@ -151,10 +151,11 @@ def falsify_hanner(
         b = stop - start
         batch = rng.standard_normal((b, n, d))
         sums = signs @ batch  # (b, 2^(n-1), d): one stacked product per batch
-        lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
-        vec_norms = norm_eval_many(norm, batch.reshape(-1, d)).reshape(b, n)
-        rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)
-        gap = lhs - rhs
+        with np.errstate(over="ignore", invalid="ignore"):  # a side that leaves the double range is refused below
+            lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
+            vec_norms = norm_eval_many(norm, batch.reshape(-1, d)).reshape(b, n)
+            rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)
+            gap = lhs - rhs
         cushion = np.maximum(tol.ABS_SLACK, tol.REL_SLACK * np.maximum(lhs, rhs))
         over = ~(np.isfinite(lhs) & np.isfinite(rhs))
         bad = (gap > cushion if mode == "type" else gap < -cushion) | over

@@ -11,11 +11,14 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from khbm import acceptance, functional
 from khbm.acceptance import criterion_ids, run_criteria, run_criterion
 from khbm.cli import main
+from khbm.distributions import rademacher
+from khbm.norms import LpNorm
 
 BASE_SEED = 0
 
@@ -97,12 +100,9 @@ def test_stacked_criterion_memory():
 def forks(monkeypatch):
     """Counts the forks of the test and checks that no child outlives it.
 
-    The kernels' thread pool, left by an earlier test, is shut down
-    first, since the suite runs serially while other threads are alive.
+    No thread may be alive when it starts, since the suite runs serially
+    while other threads are alive.
     """
-    if functional._pool.cache_info().currsize:
-        functional._pool().shutdown(wait=True)
-        functional._pool.cache_clear()
     assert threading.active_count() == 1
     calls = []
     real_fork = os.fork
@@ -134,6 +134,25 @@ def test_unknown_criterion_refused_before_any_lane(monkeypatch, capsys, argv):
     monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(acceptance, "run_criterion", lambda *a: pytest.fail("a criterion ran"))
     assert _cli(capsys, ["acceptance", *argv]) == (2, "", "error: unknown criterion id 99; valid ids are 1..10\n")
+
+
+def test_a_large_call_leaves_no_thread_behind(monkeypatch, forks):
+    # an ipf_exact call of 2^20 terms runs on two lanes, whose threads end with the
+    # call, so the suite run after it still forks instead of running serially
+    lanes = []
+    real_map = functional._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(functional, "_map", spy)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    functional.ipf_exact(np.random.default_rng(0).standard_normal((20, 2)), rademacher(), 2.0, LpNorm(2.0, 2))
+    assert lanes == [2]
+    assert threading.active_count() == 1
+    assert run_criteria([1, 2], 0) == [run_criterion(1, 0), run_criterion(2, 0)]
+    assert len(forks) == 1
 
 
 def test_repeated_ids_repeat_their_rows(forks):

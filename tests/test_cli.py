@@ -101,7 +101,7 @@ def test_hanner_falsifier_none_found(capsys):
     assert json.loads(out)["report"]["found"] is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
     [["--vectors", "big.csv", "--mode", "cotype"], ["--mode", "type", "--n", "2", "--d", "2", "--trials", "1000"]],
@@ -109,12 +109,11 @@ def test_hanner_falsifier_none_found(capsys):
 )
 def test_hanner_refuses_sign_sums_that_overflow(capsys, tmp_path, monkeypatch, argv):
     # at q = 1000 the l^1 sign sums leave the double range: the gap would be inf - inf = nan,
-    # and a search would scan every trial and report none found
+    # and a search would scan every trial and report none found; no numpy warning comes first
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.csv").write_text("3,1\n-2,5\n")
     code, out, err = run_cli(capsys, "hanner", "--norm", "lp:1:2", "--q", "1000", *argv)
-    assert code == 2 and out == ""
-    assert "q = 1000.0 leave the double range" in err
+    assert (code, out, err) == (2, "", "error: the sign sums at q = 1000.0 leave the double range\n")
 
 
 def test_hanner_requires_mode_for_search(capsys):
@@ -309,6 +308,42 @@ def test_monte_carlo_refusal_is_usage_error(capsys, monkeypatch, vectors_csv):
     assert (code, out) == (2, "")
     assert err.startswith("error: the Monte Carlo samples and largest block need ")
     assert "floats, exceeding budget 1000" in err
+
+
+@pytest.mark.parametrize("norm, need", [("lp:1:2", 100_492), ("polytope:hex.csv", 215_492)])
+def test_monte_carlo_runs_under_the_budget_it_reports(capsys, monkeypatch, tmp_path, vectors_csv, norm, need):
+    # Monte Carlo, the polytope facet build and the report envelope read the one KHBM_BUDGET:
+    # one float short is refused naming it, and the least budget that runs is the one reported
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hex.csv").write_text("1,0\n0.5,0.8\n-0.5,0.8\n-1,0\n-0.5,-0.8\n0.5,-0.8\n")
+    argv = ["ipf", "--vectors", vectors_csv, "--atoms", "atoms:1,0.25", "--p", "2", "--norm", norm]
+    argv += ["--method", "mc", "--samples", "5000"]
+    monkeypatch.setenv("KHBM_BUDGET", str(need - 1))
+    error = f"error: the Monte Carlo samples and largest block need {need} floats, exceeding budget {need - 1}\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
+    monkeypatch.setenv("KHBM_BUDGET", str(need))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["budget"] == need
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ipf", "--vectors", "v.csv", "--atoms", "atoms:1,0.5", "--p", "2", "--norm", "lp:2:2"],
+        ["lemma1", "--x", "1,2,3", "--k", "2", "--alpha", "1"],
+        ["verify-theorem1", "--vectors", "v.csv", "--atoms", "atoms:1,0.5", "--p", "2", "--q", "2"]
+        + ["--norm", "lp:2:2", "--side", "both"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_subcommand_takes_a_budget_flag(capsys, monkeypatch, tmp_path, vectors_csv, argv):
+    # KHBM_BUDGET is the one budget source; a second one let a report print a budget its routes did not run under
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--budget", "1000"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --budget 1000" in capsys.readouterr().err
 
 
 def test_acceptance_single_criterion(capsys):

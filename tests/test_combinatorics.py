@@ -135,10 +135,11 @@ def test_validation():
         SubsetRatioInput(tuple(range(1, 26)), 2, 1.0)  # n > 24
 
 
-def test_budget_cap():
+def test_budget_cap(monkeypatch):
     x = tuple(float(i + 1) for i in range(24))
+    monkeypatch.setenv("KHBM_BUDGET", "1000")
     with pytest.raises(EnumerationBudgetError):
-        subset_power_ratio(SubsetRatioInput(x, 12, 1.0), budget=1000)
+        subset_power_ratio(SubsetRatioInput(x, 12, 1.0))
 
 
 @given(

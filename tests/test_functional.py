@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import subprocess
@@ -228,15 +229,19 @@ def test_overflowing_vector_sums_give_inf_not_nan():
         assert res.value == res.pth_power == math.inf
 
 
-def test_memory_bound_refuses_before_allocating():
+def test_memory_bound_refuses_before_allocating(monkeypatch):
     # 4 terms fit the budget, but the half tables and block of 50-dim sums do not
+    monkeypatch.setenv("KHBM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError, match="floats"):
-        ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=100)
-    assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=250).terms_evaluated == 4
+        ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50))
+    monkeypatch.setenv("KHBM_BUDGET", "250")
+    assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50)).terms_evaluated == 4
     # 2^12 terms fit, but the 2^12 x 12 sign table and its 2^12 x 3 sums do not
+    monkeypatch.setenv("KHBM_BUDGET", "5000")
     with pytest.raises(EnumerationBudgetError, match="floats"):
-        ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3), budget=5000)
-    assert ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3), budget=61440).terms_evaluated == 4096
+        ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
+    monkeypatch.setenv("KHBM_BUDGET", "61440")
+    assert ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3)).terms_evaluated == 4096
 
 
 def test_exact_matches_brute_force():
@@ -340,12 +345,14 @@ def test_zero_mass_atom_pruned():
     assert res.terms_evaluated == 9
 
 
-def test_budget_error_advises_sampling():
+def test_budget_error_advises_sampling(monkeypatch):
     v = np.ones((30, 1))
+    monkeypatch.setenv("KHBM_BUDGET", "1000")
     with pytest.raises(EnumerationBudgetError, match="monte"):
-        ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 1), budget=1000)
+        ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 1))
+    monkeypatch.setenv("KHBM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError):
-        ipf_two_valued_exact(np.ones((40, 1)), 0.25, 2.0, LpNorm(2.0, 1), budget=100)
+        ipf_two_valued_exact(np.ones((40, 1)), 0.25, 2.0, LpNorm(2.0, 1))
 
 
 def test_budget_env_override(monkeypatch):
@@ -601,19 +608,6 @@ def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
     assert got == base
 
 
-
-def test_lanes_no_pool_thread_starts_still_end(monkeypatch):
-    # a forked child inherits the pool without its threads: its lanes never
-    # start, and the calling thread takes every block and does not wait for them
-    from concurrent.futures import Future
-
-    class Stalled:
-        def submit(self, fn):
-            return Future()
-
-    monkeypatch.setattr(functional, "_pool", Stalled)
-    assert functional._map(lambda b: b * b, range(10), 3) == [b * b for b in range(10)]
-
 def test_parallel_monte_carlo_is_one_draw(monkeypatch):
     # per-block Philox streams, advanced past the uniforms before each block, are the one stream
     monkeypatch.setattr(functional, "_WORKERS", 2)
@@ -623,16 +617,18 @@ def test_parallel_monte_carlo_is_one_draw(monkeypatch):
 
 
 def test_budget_refusals_come_before_any_pool(monkeypatch):
-    def no_pool():
+    def no_pool(*args, **kwargs):
         raise AssertionError("a refused call started the pool")
 
-    monkeypatch.setattr(functional, "_pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(functional, "_WORKERS", 2)
     # 2^20 terms fit each budget, but the floats do not
+    monkeypatch.setenv("KHBM_BUDGET", str(1_100_000))
     with pytest.raises(EnumerationBudgetError, match="floats"):
-        ipf_exact(np.ones((20, 50)), rademacher(), 2.0, LpNorm(2.0, 50), budget=1_100_000)
+        ipf_exact(np.ones((20, 50)), rademacher(), 2.0, LpNorm(2.0, 50))
+    monkeypatch.setenv("KHBM_BUDGET", str(2_000_000))
     with pytest.raises(EnumerationBudgetError, match="floats"):
-        ipf_two_valued_exact(np.ones((13, 300)), 0.25, 2.0, LpNorm(2.0, 300), budget=2_000_000)
+        ipf_two_valued_exact(np.ones((13, 300)), 0.25, 2.0, LpNorm(2.0, 300))
     monkeypatch.setenv("KHBM_BUDGET", str(10**6))
     with pytest.raises(EnumerationBudgetError, match="floats"):
         ipf_monte_carlo(np.eye(3), rademacher(), 2.0, LpNorm(2.0, 3), samples=800_000, seed=0)
@@ -640,14 +636,15 @@ def test_budget_refusals_come_before_any_pool(monkeypatch):
 
 def test_blocks_in_flight_fit_the_budget(monkeypatch):
     # above the gate, but the budget holds one block of 20 x 50 sums in flight, not two: no pool
-    def no_pool():
+    def no_pool(*args, **kwargs):
         raise AssertionError("two blocks in flight would exceed the budget")
 
     v = np.random.default_rng(3).standard_normal((20, 50))
     monkeypatch.setattr(functional, "_WORKERS", 2)
     want = ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50))
-    monkeypatch.setattr(functional, "_pool", no_pool)
-    assert ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50), budget=2_000_000) == want
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("KHBM_BUDGET", str(2_000_000))
+    assert ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50)) == want
 
 
 def test_small_work_starts_no_threads():

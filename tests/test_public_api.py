@@ -65,6 +65,18 @@ def test_tracer_read_arguments_keep_their_place(layer, name, position, param):
     assert params[position] == param, params
 
 
+def test_no_public_function_takes_a_budget():
+    # KHBM_BUDGET is the one budget source, so a report's budget is the one every route ran under
+    takes = []
+    for info in pkgutil.iter_modules(khbm.__path__):
+        mod = importlib.import_module(f"khbm.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters:
+                takes.append(f"{info.name}.{name}")
+    assert takes == []
+
+
 def test_tracer_read_attributes_stay():
     # the estimators count support points from a law, rows from a tuple, subsets from a ratio input
     law = khbm.SymmetricAtoms(((2.0, 0.125), (1.0, 0.25)))
