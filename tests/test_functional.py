@@ -520,7 +520,7 @@ def test_monte_carlo_memory_stays_within_its_count(monkeypatch, samples, n, norm
     monkeypatch.setattr(functional, "_WORKERS", 2)
     v = np.random.default_rng(n).standard_normal((n, norm.dim))
     f = GUIDE_LAWS["non-dyadic"]  # some buckets are searched
-    ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)  # the pool and numpy's caches come first
+    ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)  # numpy's caches come first
     counts.clear()
     lanes.clear()
     tracemalloc.start()
