@@ -194,6 +194,60 @@ def test_polytope_bounds_evaluate_the_gauge_once(monkeypatch):
     assert cotype.raw == want
 
 
+def _seeded_hexagon():
+    rng = np.random.default_rng(20)
+    angles = np.arange(3) * math.pi / 3.0 + rng.uniform(-0.25, 0.25, size=3)
+    radii = rng.uniform(0.7, 1.3, size=3)
+    half = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    return PolytopeGauge(np.vstack([half, -half]))
+
+
+# (value, raw, witness, rigorous) and the prop4 case, as literal reprs: equal tuples are equal bits
+POLYTOPE_LOWER_PINS = {
+    "hexagon": {
+        "general": (1.0, 0.7349662391046006, 1.9999999999999865, False),
+        "cotype": (1.0, 0.917245392677021, 1.7793553998403389, False),
+        (1.5, None): (1.0, 0.5591584488949214, 2.0, False, "dual-general"),
+        (3.0, None): (1.0, 0.5833430905578771, 1.9999999999999865, False, "general"),
+        (3.0, 1.5): (1.0, 0.7280181506242437, 1.7793553998403389, False, "cotype"),
+    },
+    "cross": {
+        "general": (1.2247448713915892, 1.2247448713915892, 1.0, False),
+        "cotype": (1.0699131939336628, 1.0699131939336628, 1.5, False),
+        (1.5, None): (1.0, 0.40031231839200093, 49.14755081732762, False, "dual-general"),
+        (3.0, None): (1.0, 0.8491906647824765, 1.0, False, "general"),
+        (3.0, 1.5): (1.0, 0.8491906647824765, 1.0, False, "general"),
+    },
+}
+
+
+def test_polytope_bounds_are_pinned_bitwise():
+    # sampled comparison constants and the exponent search, on a seeded
+    # hexagon and the 3-cross-polytope; values recorded before the body-kind
+    # facts moved to norms
+    bodies = {"hexagon": (_seeded_hexagon(), 2), "cross": (PolytopeGauge(np.vstack([np.eye(3), -np.eye(3)])), 3)}
+    for name, (body, n) in bodies.items():
+        pins = POLYTOPE_LOWER_PINS[name]
+        g = theorem2_general_lower(body, n, 64, 3)
+        assert (g.value, g.raw, g.witness_p, g.rigorous) == pins["general"], name
+        c = theorem2_cotype_lower(body, 1.5, n, 64, 3)
+        assert (c.value, c.raw, c.witness_p, c.rigorous) == pins["cotype"], name
+        for p, qc in ((1.5, None), (3.0, None), (3.0, 1.5)):
+            r = prop4_lower(p, body, n, q_cotype=qc, trials=64, seed=3)
+            assert (r.value, r.raw, r.witness_r, r.rigorous, r.case) == pins[p, qc], (name, p, qc)
+
+
+def test_polytope_transform_bounds_are_pinned_bitwise():
+    hexagon, T = _seeded_hexagon(), np.array([[1.0, 0.3], [-0.2, 0.9]])
+    square = PolytopeGauge(np.array([[a, b] for a in (-1.0, 1.0) for b in (-1.0, 1.0)]))
+    want = (1.8050854657014583, 1.8433586448525854, 0.979237258436929)
+    for K in (square, LpNorm(math.inf, 2)):
+        t = upper_bound_via_transform(K, hexagon, T)
+        assert (t.value, t.factor_out, t.factor_in) == want
+    t = upper_bound_via_transform(hexagon, LpNorm(3.0, 2), T)
+    assert (t.value, t.factor_out, t.factor_in) == (1.6498844489037152, 0.9836183273918727, 1.6773624514281775)
+
+
 def test_known_distance_table():
     assert known_distance(1.0, 2.0, 4) == 2.0  # n^(1 - 1/2)
     assert known_distance(math.inf, 2.0, 9) == 3.0
