@@ -12,7 +12,6 @@ sandwiches for Banach-Mazur distances between l^p balls.
 from .banach_mazur import (
     BMBoundReport,
     LowerBound,
-    Prop4Result,
     TransformBound,
     corollary1_lower,
     hadamard_matrix,

@@ -13,11 +13,12 @@ Lower bounds come from moment-comparison inequalities:
 * ``corollary1_lower``: max{A_p n^(1/2-1/q), A_q* n^(1/p-1/2)} for
   1 <= p < 2 < q <= inf.
 
-The supremum over p runs over [lo, 64].  For an l^r body it is exact: the
-largest objective value on the breakpoints {lo, 2, r, 64}, each piece
-between them being monotone or log-convex in 1/p (``_maximize_exponent``
-has the proof).  A polytope body's objective rests on sampled comparison
-constants and keeps a log grid plus golden-section search.
+The supremum over p runs over [lo, 64].  For exact comparison functions
+it is the largest objective value on the breakpoints {lo, 2, r, 64}, each
+piece between them being monotone or log-convex in 1/p
+(``_maximize_exponent`` has the proof).  Sampled ones (a polytope body)
+keep a log grid plus golden-section search.  Every fact that depends on
+the kind of body comes from ``norms``, so a new kind is added there alone.
 
 Upper bounds come from explicit linear transforms: for invertible T,
 
@@ -26,7 +27,7 @@ Upper bounds come from explicit linear transforms: for invertible T,
 which is scale-invariant in T (scalar multiples cancel exactly in the
 product).  Each factor is an exact maximum, never sampled: over the
 extreme points of the ball, or by duality over those of the dual of the
-target ball (``_ball_max``).  One of the two must be enumerable, which
+target ball (``norms._ball_max``).  One of the two must be listed, which
 holds for a polytope, l^1 or l^inf body (a cube up to n = 14) against
 any l^q ball, and for two cubes of any size.  Reported
 lower bounds are clamped at 1 (a distance is never smaller); the raw
@@ -44,23 +45,21 @@ import numpy as np
 
 from . import tolerances as tol
 from .constants import lower_constant
-from .functional import _sign_matrix
 from .norms import (
     LpNorm,
     NormSpec,
-    PolytopeGauge,
-    _comparison_points,
+    _ball_max,
+    _comparison_functions,
     _conj,
+    _extreme_points,
     _inv,
+    _known_cotype,
     dual_norm_spec,
-    lp_comparison,
-    norm_eval_many,
 )
 
 __all__ = [
     "LowerBound",
     "TransformBound",
-    "Prop4Result",
     "BMBoundReport",
     "theorem2_general_lower",
     "theorem2_cotype_lower",
@@ -72,7 +71,6 @@ __all__ = [
     "sandwich_report",
 ]
 
-_MAX_CUBE_N = 14
 _MAX_SANDWICH_N = 2048  # sandwich_report peaks near 97 n^2 bytes, here 0.4 GB
 _P_HI = 64.0
 _GRID_POINTS = 64
@@ -87,30 +85,6 @@ class LowerBound:
     witness_p: Optional[float]
     rigorous: bool
     note: str = ""
-
-
-def _lower_comparisons(
-    L: NormSpec, trials: int, seed: int
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """p -> inf ||x||_L / ||x||_p and p -> inf ||x||_p / ||x||_L.
-
-    Exact for an l^r norm.  Otherwise the values are those of
-    ``estimate_comparison`` with the same (trials, seed): the sample and its
-    norms under L are computed once per call, only the l^p side per exponent.
-    """
-    n = L.dim
-    if isinstance(L, LpNorm):
-        return (lambda p: lp_comparison(L.r, p, n).lower), (lambda p: lp_comparison(p, L.r, n).lower)
-    pts = _comparison_points(n, trials, seed)
-    body = norm_eval_many(L, pts)
-
-    def to_lp(p: float) -> float:
-        return float((body / norm_eval_many(LpNorm(p, n), pts)).min())
-
-    def from_lp(p: float) -> float:
-        return float((norm_eval_many(LpNorm(p, n), pts) / body).min())
-
-    return to_lp, from_lp
 
 
 def _optimize_exponent(
@@ -149,14 +123,17 @@ def _optimize_exponent(
     return float(best_val), float(best_x)
 
 
-def _maximize_exponent(objective: Callable[[float], float], L: NormSpec, lo: float) -> tuple[float, float]:
+def _maximize_exponent(
+    objective: Callable[[float], float], lo: float, breakpoints: Optional[tuple[float, ...]]
+) -> tuple[float, float]:
     """sup of a Theorem-2 objective over p in [lo, 64], and the smallest maximizer.
 
-    For an l^r body L the supremum is the largest value on the breakpoints
-    {lo, 2, r, 64} inside [lo, 64], with no search.  With t = 1/p, A_p is
-    2^(1/2 - t) on [1, p0] (two-point), ||g||_p on [p0, 2] (gaussian) and
-    1 from 2 on (Haagerup, Studia Math. 70, 1981; p0 ~ 1.847), so A_p is
-    nondecreasing.  The general objective is C A_p n^(t - 1/2) min(1, n^(1/r - t)):
+    For exact comparison functions, which change form at ``breakpoints``
+    (r for an l^r body), it is the largest value on {lo, 2, r, 64} inside
+    [lo, 64], with no search.  With t = 1/p, A_p is 2^(1/2 - t) on [1, p0]
+    (two-point), ||g||_p on [p0, 2] (gaussian) and 1 from 2 on (Haagerup,
+    Studia Math. 70, 1981; p0 ~ 1.847), so A_p is nondecreasing.  The
+    general objective is C A_p n^(t - 1/2) min(1, n^(1/r - t)):
 
     * p <= r: it is A_p times a constant, nondecreasing in p;
     * p >= max(r, 2): it is n^t times a constant, nonincreasing in p;
@@ -171,13 +148,12 @@ def _maximize_exponent(objective: Callable[[float], float], L: NormSpec, lo: flo
     at p = r clipped to [q, 64].  The witness is the smallest breakpoint
     attaining the maximum, so a flat stretch reports its left end.
 
-    A polytope body's objective is built from sampled comparison
-    constants, which this argument does not cover: it keeps the grid and
-    golden-section search of ``_optimize_exponent``.
+    Sampled ones (``breakpoints`` None) are not covered by this argument:
+    they keep the grid and golden-section search of ``_optimize_exponent``.
     """
-    if not isinstance(L, LpNorm):
+    if breakpoints is None:
         return _optimize_exponent(objective, lo, _P_HI, extras=(lo, 2.0))
-    values = [(objective(p), p) for p in {lo, 2.0, L.r, _P_HI} if lo <= p <= _P_HI]
+    values = [(objective(p), p) for p in {lo, 2.0, *breakpoints, _P_HI} if lo <= p <= _P_HI]
     best = max(v for v, _ in values)
     return best, min(p for v, p in values if v == best)
 
@@ -186,15 +162,15 @@ def theorem2_general_lower(L: NormSpec, n: int, trials: int = 2048, seed: int = 
     """Lower bound for d(cube, L) from the general moment inequality."""
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
-    to_lp, from_lp = _lower_comparisons(L, trials, seed)
+    to_lp, from_lp, breakpoints = _comparison_functions(L, trials, seed)
     one_factor = from_lp(1.0)
 
     def objective(p: float) -> float:
         return to_lp(p) * one_factor * lower_constant(p) * float(n) ** (_inv(p) - 0.5)
 
-    raw, witness = _maximize_exponent(objective, L, 1.0)
-    rigorous = isinstance(L, LpNorm)
-    return LowerBound("thm2-general", max(1.0, raw), raw, witness, rigorous)
+    raw, witness = _maximize_exponent(objective, 1.0, breakpoints)
+    # exact comparison functions come with their breakpoints, sampled ones without
+    return LowerBound("thm2-general", max(1.0, raw), raw, witness, breakpoints is not None)
 
 
 def theorem2_cotype_lower(L: NormSpec, q: float, n: int, trials: int = 2048, seed: int = 0) -> LowerBound:
@@ -207,62 +183,46 @@ def theorem2_cotype_lower(L: NormSpec, q: float, n: int, trials: int = 2048, see
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
 
-    to_lp, from_lp = _lower_comparisons(L, trials, seed)
+    to_lp, from_lp, breakpoints = _comparison_functions(L, trials, seed)
 
     def objective(p: float) -> float:
         return lower_constant(q) * to_lp(p) * from_lp(p) * math.sqrt(n)
 
-    raw, witness = _maximize_exponent(objective, L, q)
-    rigorous = isinstance(L, LpNorm)
+    raw, witness = _maximize_exponent(objective, q, breakpoints)
     return LowerBound(
-        "thm2-cotype", max(1.0, raw), raw, witness, rigorous, note=f"assumes Hanner cotype ({q:g}, {n})"
+        "thm2-cotype", max(1.0, raw), raw, witness, breakpoints is not None, note=f"assumes Hanner cotype ({q:g}, {n})"
     )
-
-
-@dataclass(frozen=True)
-class Prop4Result:
-    value: float  # clamped at 1
-    raw: float
-    case: str
-    witness_r: Optional[float]
-    rigorous: bool
 
 
 def prop4_lower(
     p: float, L: NormSpec, n: int, q_cotype: float | None = None, trials: int = 2048, seed: int = 0
-) -> Prop4Result:
+) -> LowerBound:
     """Lower bound for d(l^p ball, L) by reduction to the cube bounds.
 
     Four cases are evaluated where applicable: general and cotype
     versions, on L directly for p >= 2 and on the dual norm for p <= 2;
-    the best raw value wins.  ``q_cotype`` asserts a Hanner cotype for L
-    itself; cotype of the dual is derived only for l^r norms (r* <= 2).
+    the best raw value wins, and ``note`` names its case.  ``q_cotype``
+    asserts a Hanner cotype for L itself; otherwise, and for the dual, a
+    cotype is used only where ``norms._known_cotype`` knows one.
     """
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     if L.dim != n:
         raise ValueError(f"norm dimension {L.dim} != n = {n}")
-    qc = q_cotype
-    if qc is None and isinstance(L, LpNorm) and L.r <= 2.0:
-        qc = L.r
-    cases: list[tuple[float, str, Optional[float], bool]] = []
+    reductions = []  # (case prefix, factor, body, its cotype)
     if p >= 2.0:
-        factor = float(n) ** (-_inv(p))
-        g = theorem2_general_lower(L, n, trials, seed)
-        cases.append((factor * g.raw, "general", g.witness_p, g.rigorous))
-        if qc is not None:
-            c = theorem2_cotype_lower(L, qc, n, trials, seed)
-            cases.append((factor * c.raw, "cotype", c.witness_p, c.rigorous))
+        reductions.append(("", float(n) ** (-_inv(p)), L, _known_cotype(L) if q_cotype is None else q_cotype))
     if p <= 2.0:
-        factor = float(n) ** (_inv(p) - 1.0)
         Ld = dual_norm_spec(L)
-        g = theorem2_general_lower(Ld, n, trials, seed)
-        cases.append((factor * g.raw, "dual-general", g.witness_p, g.rigorous))
-        if isinstance(Ld, LpNorm) and Ld.r <= 2.0:
-            c = theorem2_cotype_lower(Ld, Ld.r, n, trials, seed)
-            cases.append((factor * c.raw, "dual-cotype", c.witness_p, c.rigorous))
+        reductions.append(("dual-", float(n) ** (_inv(p) - 1.0), Ld, _known_cotype(Ld)))
+    cases: list[tuple[float, str, Optional[float], bool]] = []
+    for prefix, factor, body, qc in reductions:
+        bounds = [("general", theorem2_general_lower(body, n, trials, seed))]
+        if qc is not None:
+            bounds.append(("cotype", theorem2_cotype_lower(body, qc, n, trials, seed)))
+        cases += [(factor * b.raw, prefix + kind, b.witness_p, b.rigorous) for kind, b in bounds]
     raw, case, witness, rigorous = max(cases, key=lambda c: c[0])
-    return Prop4Result(value=max(1.0, raw), raw=raw, case=case, witness_r=witness, rigorous=rigorous)
+    return LowerBound("prop4", max(1.0, raw), raw, witness, rigorous, note=f"case {case}")
 
 
 def corollary1_lower(p: float, q: float, n: int) -> float:
@@ -321,51 +281,14 @@ class TransformBound:
     transform_name: str
 
 
-def _extreme_points(spec: NormSpec) -> np.ndarray:
-    if isinstance(spec, PolytopeGauge):
-        return spec.vertices
-    if math.isinf(spec.r):
-        if spec.dim > _MAX_CUBE_N:
-            raise ValueError(f"cube vertex enumeration supports n <= {_MAX_CUBE_N}, got {spec.dim}")
-        return _sign_matrix(spec.dim)
-    if spec.r == 1.0:
-        eye = np.eye(spec.dim)
-        return np.vstack([eye, -eye])
-    raise ValueError("extreme points are enumerable only for l^1, l^inf and polytope gauges")
-
-
-def _enumerable(spec: NormSpec) -> bool:
-    # Ext(B) can be listed: a polytope, l^1, or a cube up to _MAX_CUBE_N
-    if isinstance(spec, PolytopeGauge):
-        return True
-    return spec.r == 1.0 or (math.isinf(spec.r) and spec.dim <= _MAX_CUBE_N)
-
-
-def _ball_max(K: NormSpec, L: NormSpec, S: np.ndarray) -> float:
-    """max over the unit ball of K of ||S x||_L, exactly.
-
-    A convex function peaks at an extreme point, so this is the maximum
-    over Ext(K) when K's extreme points are enumerable.  Otherwise it is
-    max over Ext(B_L*) of ||S^T a||_K*, since ||S x||_L = max <a, S x>
-    over a in B_L* and the two maxima commute.  A cube past the cap takes
-    the dual route when Ext(B_L*) is enumerable, else reports the cap.
-    """
-    if _enumerable(K) or (math.isinf(K.r) and not _enumerable(dual_norm_spec(L))):
-        return float(norm_eval_many(L, _extreme_points(K) @ S.T).max())
-    return float(norm_eval_many(dual_norm_spec(K), _extreme_points(dual_norm_spec(L)) @ S).max())
-
-
 def upper_bound_via_transform(K: NormSpec, L: NormSpec, T: np.ndarray, name: str = "custom") -> TransformBound:
     """r(T) = max_{B_K} ||Tx||_L * max_{B_L} ||T^-1 y||_K >= d(K, L), exactly.
 
-    Each factor is a maximum of a norm over a unit ball (``_ball_max``),
-    taken over the extreme points of that ball when they are enumerable
-    (l^1, l^inf up to n = 14, a polytope gauge), else over those of the
-    dual of the target ball.  The first factor needs Ext(K) or Ext(B_L*)
-    enumerable and the second Ext(B_L) or Ext(K*), which holds for a
-    polytope, l^1 or l^inf body K (a cube up to n = 14) against any l^q
-    body L, and for two cubes of any size; otherwise ValueError.  Both
-    factors are exact, so ``rigorous`` is always True.
+    Each factor is the exact maximum of a norm over a unit ball
+    (``norms._ball_max``), so ``rigorous`` is always True.  The first needs
+    Ext(K) or Ext(B_L*) listed and the second Ext(B_L) or Ext(K*), which
+    holds for a polytope, l^1 or l^inf body K (a cube up to n = 14)
+    against any l^q body L, and for two cubes of any size; else ValueError.
     """
     T = np.asarray(T, dtype=float)
     d = K.dim
@@ -462,11 +385,10 @@ def sandwich_report(
     if math.isinf(p) or math.isinf(q):
         other = L if math.isinf(p) else K
         lower.append(theorem2_general_lower(other, n))
-        if other.r <= 2.0:
-            lower.append(theorem2_cotype_lower(other, other.r, n))
-    for exponent, body in ((p, L), (q, K)):
-        r4 = prop4_lower(exponent, body, n)
-        lower.append(LowerBound("prop4", r4.value, r4.raw, r4.witness_r, r4.rigorous, note=f"case {r4.case}"))
+        qc = _known_cotype(other)
+        if qc is not None:
+            lower.append(theorem2_cotype_lower(other, qc, n))
+    lower += [prop4_lower(exponent, body, n) for exponent, body in ((p, L), (q, K))]
     a, b = min(p, q), max(p, q)
     if 1.0 <= a < 2.0 < b:
         raw = corollary1_lower(a, b, n)
@@ -474,19 +396,16 @@ def sandwich_report(
 
     known = known_distance(p, q, n)
 
+    # Ext(K) or Ext(L) listed, else cubes past the cap whose factors may take the dual routes
+    listed = [_extreme_points(s) is not None for s in (K, L, dual_norm_spec(K), dual_norm_spec(L))]
+    bodies = (L, K) if listed[1] and not listed[0] else (K, L)
     best_upper: Optional[TransformBound] = None
     for tname, tmat in transforms if transforms is not None else default_transforms(n):
-        if _enumerable(K):
-            kk, ll = K, L
-        elif _enumerable(L):
-            kk, ll = L, K
-        elif _enumerable(dual_norm_spec(K)) or _enumerable(dual_norm_spec(L)):
-            kk, ll = K, L  # cubes past the cap: _ball_max takes Ext(B_L*) or Ext(K*)
-        else:
+        if not any(listed):
             notes.append(f"upper({tname}): neither body has enumerable extreme points")
             continue
         try:
-            cand = upper_bound_via_transform(kk, ll, tmat, name=tname)
+            cand = upper_bound_via_transform(*bodies, tmat, name=tname)
         except ValueError as exc:
             notes.append(f"upper({tname}): {exc}")
             continue

@@ -11,7 +11,10 @@ extremes of a three-element set:
 The second element is the two-point extremal value, the third is the
 p-th moment of a standard gaussian.  At p = 2 all three coincide at 1
 by the identity Gamma(3/2) = sqrt(pi)/2; the implementation returns the
-exact value there instead of a 1-ulp float artifact.
+exact value there instead of a 1-ulp float artifact.  Where Gamma((p+1)/2)
+leaves the double range (p > 342.3) the third element is taken from its
+logarithm, exp((log Gamma((p+1)/2) - log(pi)/2) / p); past p ~ 5e305 that
+logarithm overflows too, and the exponent is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -36,7 +39,15 @@ def _gaussian_moment_element(p: float) -> float:
     # exact at the removable identity point: Gamma(3/2) = sqrt(pi)/2
     if p == 2.0:
         return 1.0
-    return math.sqrt(2.0) * (math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / p)
+    x = (p + 1.0) / 2.0
+    try:
+        return math.sqrt(2.0) * (math.gamma(x) / math.sqrt(math.pi)) ** (1.0 / p)
+    except OverflowError:
+        pass  # Gamma(x) leaves the double range past p ~ 342.3, its logarithm only past p ~ 5e305
+    try:
+        return math.sqrt(2.0) * math.exp((math.lgamma(x) - 0.5 * math.log(math.pi)) / p)
+    except OverflowError as exc:
+        raise ValueError(f"moment exponent {p} is too large: log Gamma((p + 1)/2) leaves the double range") from exc
 
 
 def khinchine_constants(p: float) -> KhinchineConstants:

@@ -33,8 +33,9 @@ it is scaled, so large p cannot overflow (see ``IpResult``).
 
 The kernel, ``_enumerate_pth_power``, is the one door to exact
 enumeration: it checks p >= 1 and the k^n terms against the budget,
-counts the half tables and the largest block, in float64 values, against
-the same budget, and returns one ``IpResult`` per tuple.  It takes B
+counts the half tables and the largest block with the norm's temporaries
+on it (``norms._eval_floats``), in float64 values, against the same
+budget, and returns one ``IpResult`` per tuple.  It takes B
 tuples (B, n, d) with one support (B, k) per tuple.  ``ipf_exact`` and
 ``hanner.hanner_gap``, whose sign sums are the Rademacher case, pass
 one-tuple views (``rows[None]``, ``values[None]``); ``_ipf_exact_many``
@@ -56,7 +57,8 @@ The two-valued route cuts the subsets of each size k into chunks of
 work by the combinatorial number system, and evaluates a chunk as one
 stacked product of the sign table with the chunk's rows; each subset
 still yields its own pair, so the fold sees what a loop over single
-subsets would give.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
+subsets would give; its sign tables and largest chunk are counted the
+same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
 samples, and each uniform u becomes the support value at index
 ``searchsorted(cdf, u, side="right")`` on the normalized cumulative
 weights of ``_law_support``, a fixed permutation of the kernel's cached
@@ -76,8 +78,8 @@ are taken in the place of the stored norms, by numpy's own steps, so the
 call holds one sample-sized array.  That array and what the largest
 block holds (its uniforms, vector sums and the norm's temporaries, as
 ``norms._eval_floats`` counts them, and its map) are counted against the
-budget before the first draw; ``test_monte_carlo_memory_stays_within_its_count``
-checks the count against the traced peak.
+budget before the first draw.  ``test_*_memory_stays_within_its_count``
+check each route's count against the traced peak.
 
 The blocks of these three routes are independent, and a call of at
 least ``_PARALLEL`` (2^20) terms or uniforms runs them on up to
@@ -116,7 +118,7 @@ from .distributions import (
     theorem1_lower_constant,
     theorem1_upper_constant,
 )
-from .norms import LpNorm, NormSpec, _eval_floats, norm_eval_many
+from .norms import LpNorm, NormSpec, _eval_floats, _sign_matrix, norm_eval_many
 
 __all__ = [
     "VectorTuple",
@@ -399,7 +401,8 @@ def _enumerate_pth_power(
     h = max(1, n // 2)
     units, unit_len = (k - k // 2) * k ** (h - 1), k ** (n - h)
     step = _block_rows(units, unit_len)
-    floats = (units + unit_len + step * unit_len) * d  # one tuple's half tables and largest block
+    # one tuple's half tables (sums, weights), its largest block's sums, norm temporaries and _scaled_powers copy
+    floats = (units + unit_len + step * unit_len) * (d + 1) + _eval_floats(norm, step * unit_len)
     _check_floats(floats, budget, "the half tables and the largest block")
     per = 1 if step < units else min(count, max(1, _CHUNK // (units * unit_len)), budget // floats)
     digits_a, mult = _half_table(k, h, True)
@@ -458,14 +461,6 @@ def _ipf_exact_many(cases: Sequence[tuple[np.ndarray, SymmetricAtoms, float]], n
     return out
 
 
-@lru_cache(maxsize=32)
-def _sign_matrix(k: int) -> np.ndarray:
-    idx = np.arange(1 << k, dtype=np.int64)
-    signs = 2.0 * ((idx[:, None] >> np.arange(k)) & 1) - 1.0
-    signs.flags.writeable = False  # cached and shared by every caller
-    return signs
-
-
 @lru_cache(maxsize=256)
 def _binomials(n: int, i: int) -> np.ndarray:
     table = np.array([math.comb(c, i) for c in range(n)], dtype=np.int64)
@@ -512,15 +507,16 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
             f"subset expansion needs up to {bound} terms, exceeding budget {budget}; "
             "use ipf_monte_carlo instead"
         )
-    # the largest sign table, k = n, and its (2^n, d) product with the rows
-    floats = (1 << n) * (n + rows.shape[1])
-    _check_floats(floats, budget, "the sign table and its vector sums")
     chunks = []  # (k, coefficient, first rank, end rank) over every k
     for k in range(1, n + 1):
         coef = t**k * w0 ** (n - k)
         if coef != 0.0:
             count, step = math.comb(n, k), max(1, _CHUNK >> k)
             chunks += [(k, coef, lo, min(lo + step, count)) for lo in range(0, count, step)]
+    # the cached sign tables; the largest chunk's (rows, d) sums, norm temporaries and two scaled copies
+    most = max(((hi - lo) << k for k, _, lo, hi in chunks), default=0)
+    floats = sum((1 << k) * k for k in {c[0] for c in chunks}) + most * (rows.shape[1] + 2) + _eval_floats(norm, most)
+    _check_floats(floats, budget, "the sign table and its vector sums")
 
     def chunk(unit: tuple[int, float, int, int]) -> tuple[list, list]:
         k, coef, lo, hi = unit

@@ -43,10 +43,9 @@ from .functional import (
     _check_floats,
     _edges,
     _enumerate_pth_power,
-    _sign_matrix,
     default_budget,
 )
-from .norms import LpNorm, NormSpec, norm_eval_many
+from .norms import LpNorm, NormSpec, _eval_floats, _sign_matrix, norm_eval_many
 
 __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", "falsify_hanner", "hlawka_check"]
 
@@ -59,12 +58,6 @@ _ABS = LpNorm(1.0, 1)  # |t| on the real line
 def _sign_sum(rows: np.ndarray, q: float, norm: NormSpec, budget: int) -> float:
     # sum over all 2^n sign vectors = 2^n I_q(rows, Rademacher)^q
     return _enumerate_pth_power(rows[None], _SIGNS, _HALVES, q, norm, budget)[0].pth_power * 2.0 ** rows.shape[0]
-
-
-def _half_signs(n: int) -> np.ndarray:
-    # all sign rows with the first coordinate fixed at +1
-    rest = _sign_matrix(n - 1)
-    return np.hstack([np.ones((rest.shape[0], 1)), rest])
 
 
 @dataclass(frozen=True)
@@ -141,11 +134,12 @@ def falsify_hanner(
     half = 1 << (n - 1)
     per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
     edges = _edges(trials, per)
-    # the sign table, and per sign row of the largest batch its vector sum and both sides' terms
-    floats = half * n + min(trials, per + 1) * half * (d + 2)
+    # the cached 2^n sign table and its half; the largest batch's draws, sums, norm temporaries and powered side
+    most = min(trials, per + 1)
+    floats = 3 * half * n + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
     _check_floats(floats, default_budget(), "the sign table and largest batch")
     rng = np.random.default_rng(seed)
-    signs = _half_signs(n)
+    signs = np.ascontiguousarray(_sign_matrix(n)[1::2])  # eps_1 = +1; BLAS rounds a strided table otherwise
     for start, stop in zip(edges, edges[1:]):
         # per-batch draws continue the one-shot (trials, n, d) stream bitwise
         b = stop - start

@@ -53,14 +53,18 @@ oracle.
 Comparison constants between two norms A, B on the same space are the
 extreme values of the ratio ||x||_A / ||x||_B.  For l^r vs l^s they are
 closed-form; for anything else there is a sampled (non-rigorous)
-estimator.
+estimator.  This is the one module that knows which kinds of body exist:
+the Banach-Mazur bounds ask it for the comparison functions against l^p
+(``_comparison_functions``), a known Hanner cotype (``_known_cotype``),
+listed extreme points (``_extreme_points``) and ball maxima (``_ball_max``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -84,6 +88,7 @@ _FACET_TOL = 1e-12  # a ray of unit max-abs is tight on a row r when |r . ray| <
 _FACET_GAP = 1e3  # a ray within this factor of a row's tolerance makes the run unsure
 _FACET_CHECK = 1e-10  # every vertex v must satisfy v . a <= 1 + _FACET_CHECK on every facet row a
 _PAIR_BLOCK = 1 << 20  # packed words per pair block of the facet enumeration: 8 MB per temporary
+_MAX_CUBE_N = 14  # a cube lists its 2^n vertices up to this n
 
 
 @dataclass(frozen=True)
@@ -302,6 +307,15 @@ def norm_eval(spec: NormSpec, x) -> float:
     return float(norm_eval_many(spec, x[None, :])[0])
 
 
+@lru_cache(maxsize=32)
+def _sign_matrix(k: int) -> np.ndarray:
+    # the 2^k rows of {-1, 1}^k; entry j of row i is bit j of i
+    idx = np.arange(1 << k, dtype=np.int64)
+    signs = 2.0 * ((idx[:, None] >> np.arange(k)) & 1) - 1.0
+    signs.flags.writeable = False  # cached and shared by every caller
+    return signs
+
+
 def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     # numpy adds a row of fewer than 8 entries left to right too, so the column
     # loop gives the same bits without numpy's per-row set-up on a short axis
@@ -425,6 +439,69 @@ def estimate_comparison(a: NormSpec, b: NormSpec, trials: int, seed: int) -> Com
     nb = norm_eval_many(b, pts)
     ratio = na / nb
     return ComparisonConstants(lower=float(ratio.min()), upper=float(ratio.max()), rigorous=False)
+
+
+def _comparison_functions(
+    spec: NormSpec, trials: int, seed: int
+) -> tuple[Callable[[float], float], Callable[[float], float], Optional[tuple[float, ...]]]:
+    """p -> inf ||x|| / ||x||_p and p -> inf ||x||_p / ||x||, and the exponents where they change form.
+
+    Exact for l^r (``lp_comparison``), changing form at p = r alone.  Else
+    the minima of ``estimate_comparison`` with the same (trials, seed), and
+    None: the sample's norms under ``spec`` are computed once per call.
+    """
+    n = spec.dim
+    if isinstance(spec, LpNorm):
+        r = spec.r
+        return (lambda p: lp_comparison(r, p, n).lower), (lambda p: lp_comparison(p, r, n).lower), (r,)
+    pts = _comparison_points(n, trials, seed)
+    body = norm_eval_many(spec, pts)
+    return (
+        lambda p: float((body / norm_eval_many(LpNorm(p, n), pts)).min()),
+        lambda p: float((norm_eval_many(LpNorm(p, n), pts) / body).min()),
+        None,
+    )
+
+
+def _known_cotype(spec: NormSpec) -> Optional[float]:
+    """A Hanner cotype exponent the norm is known to have: r for l^r with r <= 2 (Hanner 1956), else None."""
+    return spec.r if isinstance(spec, LpNorm) and spec.r <= 2.0 else None
+
+
+def _extreme_points(spec: NormSpec) -> Optional[np.ndarray]:
+    """The extreme points of the unit ball, one a row, or None when it has none to list.
+
+    A polytope lists its vertices, l^1 the 2d points +-e_i and a cube its
+    2^d cached sign rows up to d = 14; a larger cube and other l^r none.
+    """
+    if isinstance(spec, PolytopeGauge):
+        return spec.vertices
+    if spec.r == 1.0:
+        eye = np.eye(spec.dim)
+        return np.vstack([eye, -eye])
+    if math.isinf(spec.r) and spec.dim <= _MAX_CUBE_N:
+        return _sign_matrix(spec.dim)
+    return None
+
+
+def _ball_max(K: NormSpec, L: NormSpec, S: np.ndarray) -> float:
+    """max over the unit ball of K of ||S x||_L, exactly.
+
+    A convex function peaks at an extreme point, so this is the maximum
+    over Ext(K) when ``_extreme_points`` lists it, else the max over
+    Ext(B_L*) of ||S^T a||_K*, since ||S x||_L = max <a, S x> over a in
+    B_L* and the two maxima commute.  If neither is listed, ValueError.
+    """
+    ext = _extreme_points(K)
+    if ext is not None:
+        return float(norm_eval_many(L, ext @ S.T).max())
+    Ld = dual_norm_spec(L)
+    ext = _extreme_points(Ld)
+    if ext is not None:
+        return float(norm_eval_many(dual_norm_spec(K), ext @ S).max())
+    if math.isinf(K.r) or math.isinf(Ld.r):  # a polytope is always listed, so both are l^r here
+        raise ValueError(f"cube vertex enumeration supports n <= {_MAX_CUBE_N}, got {K.dim}")
+    raise ValueError("extreme points are enumerable only for l^1, l^inf and polytope gauges")
 
 
 def parse_norm_spec(text: str) -> NormSpec:

@@ -67,8 +67,8 @@ def test_criterion_ids_are_one_to_ten():
 @pytest.mark.parametrize(
     "cid, budget, error",
     [
-        (10, 1245, "the half tables and the largest block need 1245 floats, exceeding budget 1244"),
-        (2, 256, "2^8 = 256 weighted terms exceed budget 255; use ipf_monte_carlo instead"),
+        (10, 3160, "the half tables and the largest block need 3160 floats, exceeding budget 3159"),
+        (2, 560, "the half tables and the largest block need 560 floats, exceeding budget 559"),
     ],
 )
 def test_stacked_criteria_need_the_budget_of_their_largest_case(monkeypatch, capsys, cid, budget, error):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from khbm import banach_mazur
+from khbm import banach_mazur, norms
 from khbm.banach_mazur import (
     LowerBound,
     TransformBound,
@@ -63,7 +63,7 @@ def test_breakpoint_max_matches_search_and_dense_grid(r):
     inv_r = 1.0 / r
     for n in [*range(1, 17), 100, 10**6]:
         L = LpNorm(r, n)
-        to_lp, from_lp = banach_mazur._lower_comparisons(L, 1, 0)
+        to_lp, from_lp, _ = norms._comparison_functions(L, 1, 0)
         for q in (None, 1.0, 1.5, 2.0):
             lo = 1.0 if q is None else q
             ps = np.geomspace(lo, 64.0, 4001)
@@ -147,10 +147,10 @@ def test_dim_mismatch():
 
 def test_prop4_cases():
     r = prop4_lower(math.inf, LpNorm(1.0, 4), 4)
-    assert r.case in ("general", "cotype")
+    assert r.note in ("case general", "case cotype")
     assert r.raw > 1.0  # cube vs crosspolytope grows like sqrt(n/2)
     r2 = prop4_lower(1.0, LpNorm(math.inf, 4), 4)
-    assert r2.case.startswith("dual")
+    assert r2.note.startswith("case dual")
     assert r2.value >= 1.0
 
 
@@ -161,7 +161,7 @@ def test_prop4_polytope_uses_polar():
         eye = np.eye(n)
         got = prop4_lower(1.5, PolytopeGauge(np.vstack([eye, -eye])), n)
         want = prop4_lower(1.5, LpNorm(1.0, n), n)
-        assert got.case == want.case == "dual-general"
+        assert got.note == want.note == "case dual-general"
         assert not got.rigorous
         assert abs(got.raw - want.raw) <= 1e-12 * want.raw
 
@@ -172,13 +172,13 @@ def test_polytope_bounds_evaluate_the_gauge_once(monkeypatch):
     angles = np.arange(6) * math.pi / 3.0 + 0.3
     hexagon = PolytopeGauge(np.stack([np.cos(angles), 1.4 * np.sin(angles)], axis=1))
     gauge_calls = []
-    real = banach_mazur.norm_eval_many
+    real = norms.norm_eval_many
 
     def counting(spec, pts):
         gauge_calls.append(isinstance(spec, PolytopeGauge))
         return real(spec, pts)
 
-    monkeypatch.setattr(banach_mazur, "norm_eval_many", counting)
+    monkeypatch.setattr(norms, "norm_eval_many", counting)
     general = theorem2_general_lower(hexagon, 2, trials=16, seed=5)
     cotype = theorem2_cotype_lower(hexagon, 1.5, 2, trials=16, seed=5)
     assert sum(gauge_calls) == 2
@@ -234,7 +234,8 @@ def test_polytope_bounds_are_pinned_bitwise():
         assert (c.value, c.raw, c.witness_p, c.rigorous) == pins["cotype"], name
         for p, qc in ((1.5, None), (3.0, None), (3.0, 1.5)):
             r = prop4_lower(p, body, n, q_cotype=qc, trials=64, seed=3)
-            assert (r.value, r.raw, r.witness_r, r.rigorous, r.case) == pins[p, qc], (name, p, qc)
+            value, raw, witness, rigorous, case = pins[p, qc]
+            assert r == LowerBound("prop4", value, raw, witness, rigorous, note=f"case {case}"), (name, p, qc)
 
 
 def test_polytope_transform_bounds_are_pinned_bitwise():
@@ -344,8 +345,8 @@ def test_ball_max_extreme_point_and_dual_routes_agree():
     for d in (2, 3, 4):
         for _ in range(20):
             K, L, S = _random_polytope(rng, d), _random_polytope(rng, d), _well_conditioned(rng, d)
-            direct = banach_mazur._ball_max(K, L, S)
-            dual = banach_mazur._ball_max(dual_norm_spec(L), dual_norm_spec(K), S.T)
+            direct = norms._ball_max(K, L, S)
+            dual = norms._ball_max(dual_norm_spec(L), dual_norm_spec(K), S.T)
             assert abs(direct - dual) <= 1e-12 * direct
     # the dual route for a ball without enumerable extreme points sits
     # just above a dense sample of its unit circle
@@ -355,7 +356,7 @@ def test_ball_max_extreme_point_and_dual_routes_agree():
         circle /= norm_eval_many(LpNorm(q, 2), circle)[:, None]
         for _ in range(5):
             P, S = _random_polytope(rng, 2), _well_conditioned(rng, 2)
-            exact = banach_mazur._ball_max(LpNorm(q, 2), P, S)
+            exact = norms._ball_max(LpNorm(q, 2), P, S)
             sampled = float(norm_eval_many(P, circle @ S.T).max())
             assert sampled <= exact * (1.0 + 1e-12)
             assert exact <= sampled * (1.0 + 1e-8)

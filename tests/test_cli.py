@@ -32,6 +32,29 @@ def test_constants_json(capsys):
     assert "budget" in payload and "slack" in payload
 
 
+def test_constants_past_the_gamma_range(capsys):
+    # Gamma((p + 1)/2) leaves the double range past p ~ 342.3; B_p then comes from its logarithm
+    b = []
+    for p in ("342", "343", "345", "1e4"):
+        code, out, err = run_cli(capsys, "constants", "--p", p)
+        assert (code, err) == (0, ""), p
+        rep = json.loads(out)["report"]
+        assert rep["a_p"] == 1.0 and isinstance(rep["b_p"], float)
+        b.append(rep["b_p"])
+    assert b == sorted(set(b))
+    # past p ~ 5e305 the logarithm overflows too: refused, never a traceback
+    code, out, err = run_cli(capsys, "constants", "--p", "1e308")
+    assert code in (0, 2) and (code == 0 or err.startswith("error: moment exponent 1e+308 is too large"))
+
+
+@pytest.mark.parametrize("side, p, q", [("upper", "2", "400"), ("lower", "500", "400")])
+def test_verify_theorem1_past_the_gamma_range(capsys, vectors_csv, side, p, q):
+    argv = ["verify-theorem1", "--vectors", vectors_csv, "--atoms", "atoms:1,0.5", "--norm", "lp:2:2"]
+    code, out, err = run_cli(capsys, *argv, "--p", p, "--q", q, "--side", side)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]
+
+
 def test_json_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "bm", "--pair", "2.5", "4", "6", "--seed", "11")
     _, second, _ = run_cli(capsys, "bm", "--pair", "2.5", "4", "6", "--seed", "11")

@@ -61,3 +61,19 @@ def test_b_p_nondecreasing_on_grid():
     ps = [1.0 + 0.25 * k for k in range(25)]
     bs = [upper_constant(p) for p in ps]
     assert all(b1 <= b2 + 1e-15 for b1, b2 in zip(bs, bs[1:]))
+
+
+@pytest.mark.parametrize("p", [342.0, 342.5, 343.0, 345.0, 1e4, 1e6])
+def test_gaussian_element_past_the_gamma_range(p):
+    # math.gamma overflows past p ~ 342.3; the element then comes from lgamma
+    pm = mpmath.mpf(p)
+    want = float(mpmath.sqrt(2) * mpmath.exp((mpmath.loggamma((pm + 1) / 2) - mpmath.log(mpmath.pi) / 2) / pm))
+    c = khinchine_constants(p)
+    assert abs(c.set_elements[2] - want) <= 1e-14 * want
+    assert c.a_p == 1.0 and c.b_p == c.set_elements[2]
+
+
+def test_gaussian_element_refuses_past_the_lgamma_range():
+    assert math.isfinite(upper_constant(1e305))
+    with pytest.raises(ValueError, match="too large"):
+        khinchine_constants(1e308)

@@ -25,11 +25,10 @@ from khbm.functional import (
     ipf_exact,
     ipf_monte_carlo,
     ipf_two_valued_exact,
-    _sign_matrix,
     verify_theorem1,
 )
 from khbm.hanner import hanner_gap
-from khbm.norms import LpNorm, PolytopeGauge, describe_norm, norm_eval, norm_eval_many
+from khbm.norms import LpNorm, PolytopeGauge, _sign_matrix, describe_norm, norm_eval, norm_eval_many
 
 
 def brute_force_pth_power(v, f, p, norm):
@@ -234,13 +233,13 @@ def test_memory_bound_refuses_before_allocating(monkeypatch):
     monkeypatch.setenv("KHBM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError, match="floats"):
         ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50))
-    monkeypatch.setenv("KHBM_BUDGET", "250")
+    monkeypatch.setenv("KHBM_BUDGET", "357")
     assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50)).terms_evaluated == 4
     # 2^12 terms fit, but the 2^12 x 12 sign table and its 2^12 x 3 sums do not
     monkeypatch.setenv("KHBM_BUDGET", "5000")
     with pytest.raises(EnumerationBudgetError, match="floats"):
         ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
-    monkeypatch.setenv("KHBM_BUDGET", "61440")
+    monkeypatch.setenv("KHBM_BUDGET", "86016")
     assert ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3)).terms_evaluated == 4096
 
 
@@ -533,6 +532,55 @@ def test_monte_carlo_memory_stays_within_its_count(monkeypatch, samples, n, norm
     assert peak <= 8 * (samples + lanes[0] * (counts[0] - samples))
 
 
+def traced_count(monkeypatch, module, call):
+    """The traced peak of call(), run a second time so numpy's caches come first, its float count and lanes."""
+    counts, lanes = [], []
+    real_map = functional._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(module, "_check_floats", lambda floats, budget, what: counts.append(floats))
+    monkeypatch.setattr(functional, "_map", spy)
+    call()
+    counts.clear()
+    lanes.clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, counts[0], max(lanes, default=1)
+
+
+_MEMORY_NORMS = [LpNorm(2.0, 3), LpNorm(3.0, 3), _HEXAGON]
+
+
+@pytest.mark.parametrize("norm", _MEMORY_NORMS, ids=describe_norm)
+@pytest.mark.parametrize("n", [16, 20])
+def test_exact_memory_stays_within_its_count(monkeypatch, n, norm):
+    # the count holds the norm's temporaries and _scaled_powers' copy; 2^20 terms cross the
+    # gate and take two lanes, each with its own block.  A fixed few KB a call stay uncounted,
+    # so small n are left out
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    v = np.random.default_rng(n).standard_normal((n, norm.dim))
+    peak, count, lanes = traced_count(monkeypatch, functional, lambda: ipf_exact(v, rademacher(), 2.5, norm))
+    assert lanes == (2 if n == 20 else 1)
+    assert peak <= 8 * lanes * count
+
+
+@pytest.mark.parametrize("norm", _MEMORY_NORMS, ids=describe_norm)
+@pytest.mark.parametrize("n, t", [(8, 0.25), (12, 0.25), (12, 0.5)])
+def test_two_valued_memory_stays_within_its_count(monkeypatch, n, t, norm):
+    # the largest chunk holds up to 2^15 sign rows, more than the 2^n of k = n below n = 15
+    v = np.random.default_rng(n).standard_normal((n, norm.dim))
+    peak, count, lanes = traced_count(monkeypatch, functional, lambda: ipf_two_valued_exact(v, t, 2.5, norm))
+    assert lanes == 1
+    assert peak <= 8 * count
+
+
 @pytest.mark.parametrize("size", [2, 7, 8, 9, 127, 128, 129, 10**6])
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
 def test_scaled_moments_are_numpys_mean_and_std(size, p):
@@ -643,7 +691,7 @@ def test_blocks_in_flight_fit_the_budget(monkeypatch):
     monkeypatch.setattr(functional, "_WORKERS", 2)
     want = ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50))
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("KHBM_BUDGET", str(2_000_000))
+    monkeypatch.setenv("KHBM_BUDGET", str(4_000_000))
     assert ipf_exact(v, rademacher(), 2.0, LpNorm(2.0, 50)) == want
 
 

@@ -9,7 +9,7 @@ from khbm import hanner
 from khbm import tolerances as tol
 from khbm.functional import EnumerationBudgetError
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
-from khbm.norms import LpNorm, norm_eval, norm_eval_many
+from khbm.norms import LpNorm, PolytopeGauge, _sign_matrix, describe_norm, norm_eval, norm_eval_many
 
 
 def full_sign_sums(norm, vectors, q):
@@ -117,7 +117,7 @@ def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
     trials = 300  # one batch up to n = 7; at n = 8 and 12, batches of 2^14 sign rows and a shorter tail
     assert falsify_hanner(LpNorm(2.0, d), q=2.0, n=n, d=d, mode="type", trials=trials, seed=n + d) is None
     rng = np.random.default_rng(n + d)
-    signs = hanner._half_signs(n)
+    signs = np.hstack([np.ones((1 << (n - 1), 1)), _sign_matrix(n - 1)])  # eps_1 = +1, built apart
     for got in sums:
         batch = rng.standard_normal((got.shape[0], n, d))
         want = np.einsum("pn,bnd->bpd", signs, batch)
@@ -127,6 +127,30 @@ def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
             bound = (n - 1) * np.finfo(float).eps * np.abs(batch).sum(axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= bound)
     assert sum(len(got) for got in sums) == trials
+
+
+_HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0], [0.5, -1.0], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("norm", [LpNorm(2.0, 3), LpNorm(3.0, 3), _HEXAGON], ids=describe_norm)
+@pytest.mark.parametrize("n", [4, 10])
+def test_falsifier_memory_stays_within_its_count(monkeypatch, n, norm):
+    # the count holds the norm's temporaries and the powered sides of the largest batch
+    counts = []
+    monkeypatch.setattr(hanner, "_check_floats", lambda floats, budget, what: counts.append(floats))
+
+    def search():
+        return falsify_hanner(norm, q=3.0, n=n, d=norm.dim, mode="type", trials=4000, seed=n)
+
+    search()  # numpy's caches and the sign table come first
+    counts.clear()
+    tracemalloc.start()
+    try:
+        search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * counts[0]
 
 
 def test_falsifier_memory_is_per_batch():
@@ -161,9 +185,10 @@ def test_falsifier_batches_count_sign_rows(monkeypatch, n, trials):
 
 
 def test_falsifier_budget_counts_sign_table_and_batch(monkeypatch):
-    # at n = 20: the 2^19 x 20 sign table, and three trials (two and the one-trial tail) of 2^19 rows x (d + 2)
+    # at n = 20: the cached 2^20 x 20 sign table and its half, and three trials (two and the
+    # one-trial tail) of 20 x 3 draws and 2^19 rows x (d + 1) besides the l^2 norm's d + 1
     monkeypatch.setenv("KHBM_BUDGET", str(10**7))
-    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 18350080 floats"):
+    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 44040372 floats"):
         falsify_hanner(LpNorm(2.0, 3), q=2.0, n=20, d=3, mode="type", trials=3, seed=0)
 
 
