@@ -134,12 +134,12 @@ def falsify_hanner(
     half = 1 << (n - 1)
     per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
     edges = _edges(trials, per)
-    # the cached 2^n sign table and its half; the largest batch's draws, sums, norm temporaries and powered side
+    # the cached half sign table; the largest batch's draws, sums, norm temporaries and powered side
     most = min(trials, per + 1)
-    floats = 3 * half * n + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
+    floats = half * n + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
     _check_floats(floats, default_budget(), "the sign table and largest batch")
     rng = np.random.default_rng(seed)
-    signs = np.ascontiguousarray(_sign_matrix(n)[1::2])  # eps_1 = +1; BLAS rounds a strided table otherwise
+    signs = _sign_matrix(n, half=True)  # eps_1 = +1
     for start, stop in zip(edges, edges[1:]):
         # per-batch draws continue the one-shot (trials, n, d) stream bitwise
         b = stop - start

@@ -308,9 +308,10 @@ def norm_eval(spec: NormSpec, x) -> float:
 
 
 @lru_cache(maxsize=32)
-def _sign_matrix(k: int) -> np.ndarray:
-    # the 2^k rows of {-1, 1}^k; entry j of row i is bit j of i
-    idx = np.arange(1 << k, dtype=np.int64)
+def _sign_matrix(k: int, half: bool = False) -> np.ndarray:
+    # the 2^k rows of {-1, 1}^k, entry j of row i being bit j of i; with half, only
+    # the odd i, whose entry 0 is +1: _sign_matrix(k)[1::2], contiguous and cached alone
+    idx = np.arange(int(half), 1 << k, 1 + half, dtype=np.int64)
     signs = 2.0 * ((idx[:, None] >> np.arange(k)) & 1) - 1.0
     signs.flags.writeable = False  # cached and shared by every caller
     return signs

@@ -319,13 +319,17 @@ def test_two_valued_blocks_bitwise_equal_per_subset(n):
 
 
 def test_sign_matrix_is_read_only():
-    # the cached table is shared by ipf_two_valued_exact, hanner and banach_mazur
-    signs = _sign_matrix(3)
-    with pytest.raises(ValueError):
-        signs[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        signs *= -1.0
+    # the cached tables are shared by ipf_two_valued_exact, the falsifier and the cube's extreme points
+    for signs in (_sign_matrix(3), _sign_matrix(3, half=True)):
+        with pytest.raises(ValueError):
+            signs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            signs *= -1.0
     assert _sign_matrix(3)[0, 0] == -1.0
+    # the half table is the odd rows of the full one, entry 0 at +1, in their own contiguous array
+    for k in range(1, 12):
+        half = _sign_matrix(k, half=True)
+        assert half.flags.c_contiguous and half.tobytes() == np.ascontiguousarray(_sign_matrix(k)[1::2]).tobytes()
 
 
 def test_two_valued_validation():

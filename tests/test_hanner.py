@@ -185,10 +185,10 @@ def test_falsifier_batches_count_sign_rows(monkeypatch, n, trials):
 
 
 def test_falsifier_budget_counts_sign_table_and_batch(monkeypatch):
-    # at n = 20: the cached 2^20 x 20 sign table and its half, and three trials (two and the
-    # one-trial tail) of 20 x 3 draws and 2^19 rows x (d + 1) besides the l^2 norm's d + 1
+    # at n = 20: the 2^19 x 20 sign table, and three trials (two and the one-trial tail)
+    # of 20 x 3 draws and 2^19 rows x (d + 1) besides the l^2 norm's d + 1
     monkeypatch.setenv("KHBM_BUDGET", str(10**7))
-    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 44040372 floats"):
+    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 23068852 floats"):
         falsify_hanner(LpNorm(2.0, 3), q=2.0, n=20, d=3, mode="type", trials=3, seed=0)
 
 
