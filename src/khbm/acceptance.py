@@ -108,8 +108,8 @@ def _c2_classical(seed: int) -> tuple[bool, str]:
         ip = res.value
         l2 = float(np.sqrt((v**2).sum()))
         cons = khinchine_constants(p)
-        lo_ok = tol.geq(ip, cons.a_p * l2, rel=1e-9)
-        hi_ok = tol.leq(ip, cons.b_p * l2, rel=1e-9)
+        lo_ok = tol.geq(ip, cons.a_p * l2)
+        hi_ok = tol.leq(ip, cons.b_p * l2)
         worst = min(worst, ip - cons.a_p * l2, cons.b_p * l2 - ip)
         if not (lo_ok and hi_ok):
             failures += 1
@@ -165,7 +165,7 @@ def _c5_moment_bounds(seed: int) -> tuple[bool, str]:
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 5))
         v = rng.standard_normal((n, d))
-        chk = verify_theorem1(v, _random_law(rng), p, q, LpNorm(q, d), side="lower", rel_slack=1e-9)
+        chk = verify_theorem1(v, _random_law(rng), p, q, LpNorm(q, d), side="lower")
         worst = min(worst, chk.margin)
         if not chk.holds:
             fail_lo += 1
@@ -175,7 +175,7 @@ def _c5_moment_bounds(seed: int) -> tuple[bool, str]:
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 5))
         v = rng.standard_normal((n, d))
-        chk = verify_theorem1(v, _random_law(rng), p, q, LpNorm(q, d), side="upper", rel_slack=1e-9)
+        chk = verify_theorem1(v, _random_law(rng), p, q, LpNorm(q, d), side="upper")
         worst = min(worst, chk.margin)
         if not chk.holds:
             fail_hi += 1
@@ -204,7 +204,7 @@ def _c6_structure(seed: int) -> tuple[bool, str]:
         hi = p + float(rng.uniform(0.0, 2.0))
         i_lo = mono.i_p_f  # ipf_exact(v, f, p, norm).value, computed once
         i_hi = ipf_exact(v, f, hi, norm).value
-        if not tol.leq(i_lo, i_hi, rel=1e-9):
+        if not tol.leq(i_lo, i_hi):
             fails["p-mono"] += 1
         # closed form at p = 2 under the Euclidean norm
         e2 = LpNorm(2.0, d)
@@ -319,7 +319,7 @@ def _c9_banach_mazur(seed: int) -> tuple[bool, str]:
                 problems.append(f"missing known value for (inf, {q:g}, {n})")
                 continue
             for lb in r.lower_bounds:
-                if lb.rigorous and not tol.leq(lb.value, known, rel=1e-9):
+                if lb.rigorous and not tol.leq(lb.value, known):
                     problems.append(f"lower {lb.method} exceeds known at (inf, {q:g}, {n}): {lb.value}")
             if not r.consistent:
                 problems.append(f"inconsistent report at (inf, {q:g}, {n})")

@@ -101,10 +101,7 @@ def _envelope(args: argparse.Namespace, report: Any) -> dict:
         "subcommand": args.cmd,
         "seed": getattr(args, "seed", 0),
         "budget": default_budget(),
-        "slack": {
-            "rel": getattr(args, "rel_slack", tol.REL_SLACK),
-            "abs": getattr(args, "abs_slack", tol.ABS_SLACK),
-        },
+        "slack": {"rel": tol.REL_SLACK, "abs": tol.ABS_SLACK},
         "report": report,
     }
 
@@ -288,12 +285,7 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
     f = parse_atoms(args.atoms)
     norm = parse_norm_spec(args.norm)
     sides = ("lower", "upper") if args.side == "both" else (args.side,)
-    checks = [
-        dataclasses.asdict(
-            verify_theorem1(v, f, args.p, args.q, norm, side=s, rel_slack=args.rel_slack, abs_slack=args.abs_slack)
-        )
-        for s in sides
-    ]
+    checks = [dataclasses.asdict(verify_theorem1(v, f, args.p, args.q, norm, side=s)) for s in sides]
     if args.paper_l2_constant:
         # probe of the stronger euclidean lower constant (max of the two
         # exponent branches); it is not asserted anywhere else because it
@@ -307,7 +299,7 @@ def _run_verify_theorem1(args: argparse.Namespace) -> tuple[Any, Optional[list],
             dataclasses.asdict(
                 BoundCheck(
                     side="lower-l2-max-variant", i_p=ip, bound_constant=c, rhs=rhs, margin=ip - rhs,
-                    holds=tol.geq(ip, rhs, rel=args.rel_slack, abs_=args.abs_slack), witness_s=None,
+                    holds=tol.geq(ip, rhs), witness_s=None,
                 )
             )
         )
@@ -405,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also check the stronger (max-form) euclidean lower constant;"
         " it can fail on small-support laws, and then the exit code is 1",
     )
-    sp.add_argument("--rel-slack", type=float, default=tol.REL_SLACK)
-    sp.add_argument("--abs-slack", type=float, default=tol.ABS_SLACK)
     _add_common(sp)
 
     sp = sub.add_parser("acceptance", help="run the numbered acceptance criteria")

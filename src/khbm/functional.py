@@ -57,8 +57,9 @@ The two-valued route cuts the subsets of each size k into chunks of
 work by the combinatorial number system, and evaluates a chunk as one
 stacked product of the sign table with the chunk's rows; each subset
 still yields its own pair, so the fold sees what a loop over single
-subsets would give; its sign tables and largest chunk are counted the
-same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
+subsets would give; its sign tables, held for the call and taken as
+built in it (``norms._sign_floats``), and its largest chunk are counted
+the same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
 samples, and each uniform u becomes the support value at index
 ``searchsorted(cdf, u, side="right")`` on the normalized cumulative
 weights of ``_law_support``, a fixed permutation of the kernel's cached
@@ -118,7 +119,7 @@ from .distributions import (
     theorem1_lower_constant,
     theorem1_upper_constant,
 )
-from .norms import LpNorm, NormSpec, _eval_floats, _sign_matrix, norm_eval_many
+from .norms import LpNorm, NormSpec, _eval_floats, _sign_floats, _sign_matrix, norm_eval_many
 
 __all__ = [
     "VectorTuple",
@@ -513,14 +514,16 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
         if coef != 0.0:
             count, step = math.comb(n, k), max(1, _CHUNK >> k)
             chunks += [(k, coef, lo, min(lo + step, count)) for lo in range(0, count, step)]
-    # the cached sign tables; the largest chunk's (rows, d) sums, norm temporaries and two scaled copies
+    # the sign tables as built in this call; the largest chunk's (rows, d) sums, norm temporaries and two scaled copies
     most = max(((hi - lo) << k for k, _, lo, hi in chunks), default=0)
-    floats = sum((1 << k) * k for k in {c[0] for c in chunks}) + most * (rows.shape[1] + 2) + _eval_floats(norm, most)
-    _check_floats(floats, budget, "the sign table and its vector sums")
+    ks = {c[0] for c in chunks}
+    floats = sum(map(_sign_floats, ks)) + most * (rows.shape[1] + 2) + _eval_floats(norm, most)
+    _check_floats(floats, budget, "the sign tables and their vector sums")
+    signs = {k: _sign_matrix(k) for k in ks}  # one table per size for the whole call, freed with it
 
     def chunk(unit: tuple[int, float, int, int]) -> tuple[list, list]:
         k, coef, lo, hi = unit
-        norms = norm_eval_many(norm, _sign_matrix(k) @ rows[_subsets(n, k, lo, hi)])
+        norms = norm_eval_many(norm, signs[k] @ rows[_subsets(n, k, lo, hi)])
         top = norms.max(axis=1)
         return top.tolist(), (coef * ((norms / np.maximum(top, _TINY)[:, None]) ** p).sum(axis=1)).tolist()
 
@@ -651,21 +654,13 @@ def _l2_of_norms(rows: np.ndarray, norm: NormSpec) -> float:
     return float(np.sqrt((norms**2).sum()))
 
 
-def verify_theorem1(
-    v,
-    f: SymmetricAtoms,
-    p: float,
-    q: float,
-    norm: NormSpec,
-    side: str,
-    rel_slack: float = tol.REL_SLACK,
-    abs_slack: float = tol.ABS_SLACK,
-) -> BoundCheck:
+def verify_theorem1(v, f: SymmetricAtoms, p: float, q: float, norm: NormSpec, side: str) -> BoundCheck:
     """Check one side of the moment bound by exact enumeration.
 
     ``side='lower'`` requires q <= p and the caller's assertion that the
     norm has Hanner cotype (q, n); ``side='upper'`` requires q >= p and
     Hanner type (q, n).  The hypothesis itself is not verified here.
+    ``holds`` allows the one verdict slack that ``tolerances`` states.
     """
     rows = _as_rows(v)
     ip = ipf_exact(rows, f, p, norm)
@@ -674,13 +669,13 @@ def verify_theorem1(
         c, witness = theorem1_lower_constant(f, p, q)
         rhs = c * scale
         margin = ip.value - rhs
-        holds = tol.geq(ip.value, rhs, rel=rel_slack, abs_=abs_slack)
+        holds = tol.geq(ip.value, rhs)
         return BoundCheck("lower", ip.value, c, rhs, margin, holds, witness)
     if side == "upper":
         c = theorem1_upper_constant(f, p, q)
         rhs = c * scale
         margin = rhs - ip.value
-        holds = tol.leq(ip.value, rhs, rel=rel_slack, abs_=abs_slack)
+        holds = tol.leq(ip.value, rhs)
         return BoundCheck("upper", ip.value, c, rhs, margin, holds, None)
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 

@@ -22,9 +22,11 @@ checks apply, so q < 1 and 2^n terms over the budget are refused with
 signs, so enumeration fixes eps_1 = +1 and doubles the half sum, here and
 in ``falsify_hanner``.  Each mirrored term is bitwise equal to its
 partner (negation and absolute value are exact), so the doubling is
-exact as well.  A side that leaves the double range has no usable gap,
-so ``hanner_gap``, and ``falsify_hanner`` at such a trial before any
-violation, raise ``ValueError`` naming q.
+exact as well.  The falsifier counts its half sign table as built in the
+call (``norms._sign_floats``); past n = 14 it is freed with the call.  A
+side that leaves the double range has no usable gap, so ``hanner_gap``,
+and ``falsify_hanner`` at such a trial before any violation, raise
+``ValueError`` naming q.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .functional import (
     _enumerate_pth_power,
     default_budget,
 )
-from .norms import LpNorm, NormSpec, _eval_floats, _sign_matrix, norm_eval_many
+from .norms import LpNorm, NormSpec, _eval_floats, _sign_floats, _sign_matrix, norm_eval_many
 
 __all__ = ["HannerReport", "FalsificationResult", "HlawkaReport", "hanner_gap", "falsify_hanner", "hlawka_check"]
 
@@ -134,9 +136,9 @@ def falsify_hanner(
     half = 1 << (n - 1)
     per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
     edges = _edges(trials, per)
-    # the cached half sign table; the largest batch's draws, sums, norm temporaries and powered side
+    # the half sign table as built in this call; the largest batch's draws, sums, norm temporaries and powered side
     most = min(trials, per + 1)
-    floats = half * n + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
+    floats = _sign_floats(n, True) + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
     _check_floats(floats, default_budget(), "the sign table and largest batch")
     rng = np.random.default_rng(seed)
     signs = _sign_matrix(n, half=True)  # eps_1 = +1

@@ -307,14 +307,26 @@ def norm_eval(spec: NormSpec, x) -> float:
     return float(norm_eval_many(spec, x[None, :])[0])
 
 
-@lru_cache(maxsize=32)
 def _sign_matrix(k: int, half: bool = False) -> np.ndarray:
-    # the 2^k rows of {-1, 1}^k, entry j of row i being bit j of i; with half, only
-    # the odd i, whose entry 0 is +1: _sign_matrix(k)[1::2], contiguous and cached alone
+    # the 2^k rows of {-1, 1}^k, entry j of row i being bit j of i, read-only; with half, only the odd i,
+    # whose entry 0 is +1: _sign_matrix(k)[1::2], contiguous.  Only tables of k <= _MAX_CUBE_N (the cube's
+    # extreme points; 638,979 values, 5.1 MB, in all) are cached: a larger one is its caller's alone
+    return (_cached_signs if k <= _MAX_CUBE_N else _cached_signs.__wrapped__)(k, half)
+
+
+@lru_cache(maxsize=None)
+def _cached_signs(k: int, half: bool) -> np.ndarray:
     idx = np.arange(int(half), 1 << k, 1 + half, dtype=np.int64)
-    signs = 2.0 * ((idx[:, None] >> np.arange(k)) & 1) - 1.0
-    signs.flags.writeable = False  # cached and shared by every caller
+    signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float)  # astype casts without a ufunc's buffer
+    signs *= 2.0
+    signs -= 1.0
+    signs.flags.writeable = False  # a cached table is shared by every caller
     return signs
+
+
+def _sign_floats(k: int, half: bool = False) -> int:
+    # what building the table holds, in float64 values: the table, its row indices and their bits as int64
+    return ((1 << k) >> half) * (2 * k + 1)
 
 
 def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from khbm import tolerances as tol
 from khbm.cli import main
 
 
@@ -367,6 +368,19 @@ def test_no_subcommand_takes_a_budget_flag(capsys, monkeypatch, tmp_path, vector
         main([*argv, "--budget", "1000"])
     assert stop.value.code == 2
     assert "unrecognized arguments: --budget 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--rel-slack", "--abs-slack"])
+def test_verify_theorem1_takes_no_slack_flag(capsys, vectors_csv, flag):
+    # tolerances.py states the one verdict slack; the envelope prints it, and no flag sets another
+    argv = ["verify-theorem1", "--vectors", vectors_csv, "--atoms", "atoms:1,0.5", "--p", "2", "--q", "2"]
+    argv += ["--norm", "lp:2:2", "--side", "both"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["slack"] == {"rel": tol.REL_SLACK, "abs": tol.ABS_SLACK}
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, flag, "0"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_acceptance_single_criterion(capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import itertools
 import math
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from khbm import functional
+from khbm import functional, norms
 from khbm.combinatorics import SubsetRatioInput, subset_power_ratio
 from khbm.distributions import SymmetricAtoms, rademacher
 from khbm.functional import (
@@ -235,11 +236,14 @@ def test_memory_bound_refuses_before_allocating(monkeypatch):
         ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50))
     monkeypatch.setenv("KHBM_BUDGET", "357")
     assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50)).terms_evaluated == 4
-    # 2^12 terms fit, but the 2^12 x 12 sign table and its 2^12 x 3 sums do not
+    # 2^12 terms fit, but the 2^12 x 12 sign table as built and its 2^12 x 3 sums do not
     monkeypatch.setenv("KHBM_BUDGET", "5000")
     with pytest.raises(EnumerationBudgetError, match="floats"):
         ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
-    monkeypatch.setenv("KHBM_BUDGET", "86016")
+    monkeypatch.setenv("KHBM_BUDGET", "139263")
+    with pytest.raises(EnumerationBudgetError, match="sign tables and their vector sums need 139264 floats"):
+        ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
+    monkeypatch.setenv("KHBM_BUDGET", "139264")
     assert ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3)).terms_evaluated == 4096
 
 
@@ -330,6 +334,18 @@ def test_sign_matrix_is_read_only():
     for k in range(1, 12):
         half = _sign_matrix(k, half=True)
         assert half.flags.c_contiguous and half.tobytes() == np.ascontiguousarray(_sign_matrix(k)[1::2]).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 14, 15, 17])
+def test_sign_matrix_rows_and_cache(k):
+    # entry j of row i is bit j of i, +1 for a set bit, against a table built apart; only
+    # tables of k <= 14 columns are cached, and a larger one is its caller's alone
+    idx = np.arange(1 << k)
+    want = np.where((idx[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+    for half, rows in ((False, want), (True, want[1::2])):
+        got = _sign_matrix(k, half)
+        assert got.shape == rows.shape and got.tobytes() == np.ascontiguousarray(rows).tobytes()
+        assert (got is _sign_matrix(k, half)) == (k <= 14)
 
 
 def test_two_valued_validation():
@@ -537,7 +553,11 @@ def test_monte_carlo_memory_stays_within_its_count(monkeypatch, samples, n, norm
 
 
 def traced_count(monkeypatch, module, call):
-    """The traced peak of call(), run a second time so numpy's caches come first, its float count and lanes."""
+    """The traced peak of call(), its float count and lanes.
+
+    call() runs a second time, so numpy's caches come first, but with no
+    sign table cached: a process's first call must stay within its count too.
+    """
     counts, lanes = [], []
     real_map = functional._map
 
@@ -550,6 +570,7 @@ def traced_count(monkeypatch, module, call):
     call()
     counts.clear()
     lanes.clear()
+    norms._cached_signs.cache_clear()
     tracemalloc.start()
     try:
         call()
@@ -576,13 +597,29 @@ def test_exact_memory_stays_within_its_count(monkeypatch, n, norm):
 
 
 @pytest.mark.parametrize("norm", _MEMORY_NORMS, ids=describe_norm)
-@pytest.mark.parametrize("n, t", [(8, 0.25), (12, 0.25), (12, 0.5)])
+@pytest.mark.parametrize("n, t", [(8, 0.25), (12, 0.25), (12, 0.5), (16, 0.5)])
 def test_two_valued_memory_stays_within_its_count(monkeypatch, n, t, norm):
-    # the largest chunk holds up to 2^15 sign rows, more than the 2^n of k = n below n = 15
+    # the largest chunk holds up to 2^15 sign rows, more than the 2^n of k = n below n = 15;
+    # at n = 16 the 2^16 x 16 table is built in the call, past the cache
     v = np.random.default_rng(n).standard_normal((n, norm.dim))
     peak, count, lanes = traced_count(monkeypatch, functional, lambda: ipf_two_valued_exact(v, t, 2.5, norm))
     assert lanes == 1
     assert peak <= 8 * count
+
+
+def test_two_valued_holds_no_sign_table_after_its_call():
+    # a table past 2^14 rows is the call's alone: at n = 16 the 2^16 x 16 table (8.4 MB) is freed with it
+    v = np.random.default_rng(16).standard_normal((16, 3))
+    ipf_two_valued_exact(v[:3], 0.5, 2.5, LpNorm(2.0, 3))  # numpy's caches come first
+    norms._cached_signs.cache_clear()
+    tracemalloc.start()
+    try:
+        ipf_two_valued_exact(v, 0.5, 2.5, LpNorm(2.0, 3))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize("size", [2, 7, 8, 9, 127, 128, 129, 10**6])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from khbm import hanner
+from khbm import hanner, norms
 from khbm import tolerances as tol
 from khbm.functional import EnumerationBudgetError
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
@@ -133,17 +134,19 @@ _HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -
 
 
 @pytest.mark.parametrize("norm", [LpNorm(2.0, 3), LpNorm(3.0, 3), _HEXAGON], ids=describe_norm)
-@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("n", [4, 10, 16])
 def test_falsifier_memory_stays_within_its_count(monkeypatch, n, norm):
-    # the count holds the norm's temporaries and the powered sides of the largest batch
+    # the count holds the sign table as built, the norm's temporaries and the powered sides
+    # of the largest batch; at n = 16 the table is built in the call, past the cache
     counts = []
     monkeypatch.setattr(hanner, "_check_floats", lambda floats, budget, what: counts.append(floats))
 
     def search():
-        return falsify_hanner(norm, q=3.0, n=n, d=norm.dim, mode="type", trials=4000, seed=n)
+        return falsify_hanner(norm, q=3.0, n=n, d=norm.dim, mode="type", trials=4000 if n < 16 else 40, seed=n)
 
-    search()  # numpy's caches and the sign table come first
+    search()  # numpy's caches come first, but no sign table: a first call must stay within its count too
     counts.clear()
+    norms._cached_signs.cache_clear()
     tracemalloc.start()
     try:
         search()
@@ -151,6 +154,20 @@ def test_falsifier_memory_stays_within_its_count(monkeypatch, n, norm):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * counts[0]
+
+
+def test_falsifier_holds_no_sign_table_after_its_call():
+    # a table past 2^14 rows is the call's alone: at n = 16 the 2^15 x 16 half table (4.2 MB) is freed with it
+    falsify_hanner(LpNorm(2.0, 3), q=2.0, n=2, d=3, mode="type", trials=3, seed=0)  # numpy's caches come first
+    norms._cached_signs.cache_clear()
+    tracemalloc.start()
+    try:
+        falsify_hanner(LpNorm(2.0, 3), q=2.0, n=16, d=3, mode="type", trials=3, seed=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_falsifier_memory_is_per_batch():
@@ -185,10 +202,10 @@ def test_falsifier_batches_count_sign_rows(monkeypatch, n, trials):
 
 
 def test_falsifier_budget_counts_sign_table_and_batch(monkeypatch):
-    # at n = 20: the 2^19 x 20 sign table, and three trials (two and the one-trial tail)
-    # of 20 x 3 draws and 2^19 rows x (d + 1) besides the l^2 norm's d + 1
+    # at n = 20: the 2^19 x 20 sign table as built (41 values a row with its indices and their int64 bits),
+    # and three trials (two and the one-trial tail) of 20 x 3 draws and 2^19 rows x (d + 1) besides the l^2 norm's d + 1
     monkeypatch.setenv("KHBM_BUDGET", str(10**7))
-    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 23068852 floats"):
+    with pytest.raises(EnumerationBudgetError, match="sign table and largest batch need 34078900 floats"):
         falsify_hanner(LpNorm(2.0, 3), q=2.0, n=20, d=3, mode="type", trials=3, seed=0)
 
 

@@ -65,16 +65,26 @@ def test_tracer_read_arguments_keep_their_place(layer, name, position, param):
     assert params[position] == param, params
 
 
-def test_no_public_function_takes_a_budget():
-    # KHBM_BUDGET is the one budget source, so a report's budget is the one every route ran under
+def public_functions_taking(word):
+    """The exported functions with a parameter whose name contains ``word``."""
     takes = []
     for info in pkgutil.iter_modules(khbm.__path__):
         mod = importlib.import_module(f"khbm.{info.name}")
         for name in getattr(mod, "__all__", ()):
             obj = getattr(mod, name)
-            if inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters:
+            if inspect.isfunction(obj) and any(word in p for p in inspect.signature(obj).parameters):
                 takes.append(f"{info.name}.{name}")
-    assert takes == []
+    return takes
+
+
+def test_no_public_function_takes_a_budget():
+    # KHBM_BUDGET is the one budget source, so a report's budget is the one every route ran under
+    assert public_functions_taking("budget") == []
+
+
+def test_no_public_function_takes_a_slack():
+    # tolerances.py states the one verdict slack, so every verdict a report prints is judged by it
+    assert public_functions_taking("slack") == []
 
 
 def test_tracer_read_attributes_stay():
