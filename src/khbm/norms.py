@@ -317,7 +317,7 @@ def _sign_matrix(k: int, half: bool = False) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cached_signs(k: int, half: bool) -> np.ndarray:
     idx = np.arange(int(half), 1 << k, 1 + half, dtype=np.int64)
-    signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float)  # astype casts without a ufunc's buffer
+    signs = ((idx[:, None] >> np.arange(k)) & 1).astype(float)  # astype: no ufunc cast buffer past _sign_floats
     signs *= 2.0
     signs -= 1.0
     signs.flags.writeable = False  # a cached table is shared by every caller
