@@ -213,7 +213,7 @@ def _c6_structure(seed: int) -> tuple[bool, str]:
         rhs = second_moment * float((v**2).sum())
         rel = abs(lhs - rhs) / max(lhs, rhs)
         worst_id = max(worst_id, rel)
-        if rel > 1e-9:
+        if rel > tol.REL_IDENTITY:
             fails["l2-identity"] += 1
     ok = not any(fails.values())
     return ok, f"200 cases/property, failures {fails}, max p=2 identity rel err {worst_id:.3e}"
@@ -262,7 +262,7 @@ def _c8_hanner(seed: int) -> tuple[bool, str]:
         rep = hanner_gap(LpNorm(2.0, d), rng.standard_normal((n, d)), 2.0)
         rel = abs(rep.gap) / max(rep.lhs, rep.rhs)
         worst_l2 = max(worst_l2, rel)
-        if rel > 1e-9:
+        if rel > tol.REL_IDENTITY:
             problems.append(f"euclidean gap {rel:.2e}")
     found = falsify_hanner(LpNorm(1.0, 2), q=1.0, n=2, d=2, mode="type", trials=10_000, seed=seed)
     if found is None:
@@ -328,7 +328,7 @@ def _c9_banach_mazur(seed: int) -> tuple[bool, str]:
         got = theorem2_cotype_lower(LpNorm(2.0, n), 2.0, n).raw
         rel = abs(got - math.sqrt(n)) / math.sqrt(n)
         worst_cot = max(worst_cot, rel)
-        if rel > 1e-9:
+        if rel > tol.REL_IDENTITY:
             problems.append(f"euclidean cotype bound off at n={n}: rel {rel:.2e}")
     ok = not problems
     return ok, "; ".join(problems[:4]) if problems else (

@@ -19,8 +19,8 @@ routes are provided:
   two-valued laws {(1, t)}:
       I_p^p = sum_{k=1}^n t^k (1-2t)^(n-k)
                   sum_{|S|=k} sum_{eps in {-1,1}^k} ||sum eps_j v_j||^p
-* ``ipf_monte_carlo`` -- seeded sampling with a counter-based generator
-  (Philox), reporting the standard error of the p-th power mean.
+* ``ipf_monte_carlo`` -- seeded sampling from one PCG64 stream,
+  reporting the standard error of the p-th power mean.
 
 The kernel's unit of work is one row of the first table against the
 whole second table.  Units are grouped into blocks of at most ``_CHUNK``
@@ -53,13 +53,21 @@ Python ``**`` and ``math.fsum``, since numpy's ``power`` and Python's
 float ``**`` differ in the last bit on about 5% of inputs.
 
 The two-valued route cuts the subsets of each size k into chunks of
-``_CHUNK // 2^k`` consecutive colex ranks, unranked in the chunk's own
-work by the combinatorial number system, and evaluates a chunk as one
-stacked product of the sign table with the chunk's rows; each subset
-still yields its own pair, so the fold sees what a loop over single
-subsets would give; its sign tables, held for the call and taken as
-built in it (``norms._sign_floats``), and its largest chunk are counted
-the same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
+``_CHUNK // 2^(k-1)`` consecutive colex ranks, unranked in the chunk's
+own work by the combinatorial number system.  A chunk is one product of
+the half sign table (the 2^(k-1) rows with entry 0 at +1) with the
+chunk's gathered rows, (k, subsets * d), so each subset's half sums come
+from one matrix product; the norm, the maximum, the divide and the p-th
+power run on the half alone, since the other half are the negations.
+Each subset's powered terms are then laid out in the full table's order
+in a fresh C-ordered (subsets, 2^k) array and summed by rows, so each
+subset still yields the pair that its own full product would, bitwise on
+BLAS builds whose product rows do not depend on the number of columns
+(d >= 2; at d = 1 a subset alone takes the matrix-vector path).  Its
+half tables, held for the call and taken as built in it
+(``norms._sign_floats``), and its largest chunk (subsets, gathered rows,
+product, norms and their temporaries, the rebuilt array) are counted the
+same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
 samples, and each uniform u becomes the support value at index
 ``searchsorted(cdf, u, side="right")`` on the normalized cumulative
 weights of ``_law_support``, a fixed permutation of the kernel's cached
@@ -92,10 +100,11 @@ every call of the acceptance criteria and ``bm`` reports, start no
 thread.  The bits cannot depend on the worker count: block edges
 depend on the input alone; each exact block's pairs go through ``_fold``,
 whose maximum and exactly rounded ``math.fsum`` ignore their order; and
-each Monte Carlo block draws from its own Philox generator, advanced by
-``lo * n // 4`` counter steps (four uniforms a step) with the remaining
-``lo * n % 4`` draws discarded, which continues the one stream exactly
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+each Monte Carlo block draws from its own PCG64 generator, jumped ahead
+by ``advance(lo * n)`` (one 64-bit output a uniform, O(log(lo * n)) steps), which
+continues the one stream exactly (O'Neill, "PCG: A family of simple fast
+space-efficient statistically good algorithms for random number
+generation", 2014).
 No more blocks run at once than the budget holds copies of the counted
 block, and a call the budget refuses is refused before any thread starts.
 """
@@ -508,24 +517,34 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
             f"subset expansion needs up to {bound} terms, exceeding budget {budget}; "
             "use ipf_monte_carlo instead"
         )
-    chunks = []  # (k, coefficient, first rank, end rank) over every k
+    d = rows.shape[1]
+    chunks, most = [], 0  # (k, coefficient, first rank, end rank) over every k; the largest chunk's floats
     for k in range(1, n + 1):
         coef = t**k * w0 ** (n - k)
         if coef != 0.0:
-            count, step = math.comb(n, k), max(1, _CHUNK >> k)
+            count, step = math.comb(n, k), max(1, _CHUNK >> (k - 1))
             chunks += [(k, coef, lo, min(lo + step, count)) for lo in range(0, count, step)]
-    # the sign tables as built in this call; the largest chunk's (rows, d) sums, norm temporaries and two scaled copies
-    most = max(((hi - lo) << k for k, _, lo, hi in chunks), default=0)
+            # its subsets and gathered rows, the half product, its norms and their temporaries, the rebuilt rows
+            m = min(step, count)
+            most = max(most, m * k * (d + 1) + (m << (k - 1)) * (d + 3) + _eval_floats(norm, m << (k - 1)))
     ks = {c[0] for c in chunks}
-    floats = sum(map(_sign_floats, ks)) + most * (rows.shape[1] + 2) + _eval_floats(norm, most)
+    floats = sum(_sign_floats(k, True) for k in ks) + most  # the half tables as built in this call
     _check_floats(floats, budget, "the sign tables and their vector sums")
-    signs = {k: _sign_matrix(k) for k in ks}  # one table per size for the whole call, freed with it
+    signs = {k: _sign_matrix(k, half=True) for k in ks}  # one table per size for the whole call, freed with it
 
     def chunk(unit: tuple[int, float, int, int]) -> tuple[list, list]:
+        # the half rows (entry 0 at +1) of every subset of the chunk in one product, (2^(k-1), subsets, d);
+        # row 2j + 1 of a subset's full table is half row j, and row 2j its negation, half row 2^(k-1) - 1 - j
         k, coef, lo, hi = unit
-        norms = norm_eval_many(norm, signs[k] @ rows[_subsets(n, k, lo, hi)])
-        top = norms.max(axis=1)
-        return top.tolist(), (coef * ((norms / np.maximum(top, _TINY)[:, None]) ** p).sum(axis=1)).tolist()
+        m = hi - lo
+        half = norm_eval_many(norm, (signs[k] @ rows[_subsets(n, k, lo, hi).T].reshape(k, m * d)).reshape(-1, m, d))
+        top = half.max(axis=0)
+        half /= np.maximum(top, _TINY)
+        half **= p
+        full = np.empty((m, 1 << k))  # C-ordered, so each subset's sum adds in the full table's order
+        full[:, 1::2] = half.T
+        full[:, 0::2] = half[::-1].T
+        return top.tolist(), (coef * full.sum(axis=1)).tolist()
 
     terms = sum((hi - lo) << k for k, _, lo, hi in chunks)
     pth, value = _pth_and_value(*_fold_blocks(_map(chunk, chunks, _lanes(len(chunks), terms, floats, budget)), p), p)
@@ -588,7 +607,7 @@ def _scaled_moments(x: np.ndarray, p: float) -> tuple[float, float, float]:
 
 
 def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int, seed: int) -> IpResult:
-    """Monte Carlo I_p with a counter-based (Philox) sample stream.
+    """Monte Carlo I_p with a PCG64 sample stream, each block jumped ahead to its place in it.
 
     ``stderr`` is the standard error of the p-th power mean, not of the
     root; the result is fully determined by (seed, samples).
@@ -623,9 +642,8 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     def draw_block(lo_hi: tuple[int, int]) -> None:
         lo, hi = lo_hi
         u, draw = free.pop()
-        bits = np.random.Philox(seed)
-        bits.advance(lo * n // 4)  # a Philox counter step gives four 64-bit draws, one per uniform
-        bits.random_raw(lo * n % 4)
+        bits = np.random.PCG64(seed)
+        bits.advance(lo * n)  # one 64-bit draw a uniform: the block continues the one stream
         norms[lo:hi] = norm_eval_many(norm, draw(np.random.Generator(bits).random(out=u[: hi - lo])) @ rows)
         free.append((u, draw))
 

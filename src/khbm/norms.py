@@ -89,6 +89,7 @@ _FACET_GAP = 1e3  # a ray within this factor of a row's tolerance makes the run 
 _FACET_CHECK = 1e-10  # every vertex v must satisfy v . a <= 1 + _FACET_CHECK on every facet row a
 _PAIR_BLOCK = 1 << 20  # packed words per pair block of the facet enumeration: 8 MB per temporary
 _MAX_CUBE_N = 14  # a cube lists its 2^n vertices up to this n
+_CUBE_SUM_MIN, _CUBE_SUM_MAX = 2.0**-900, 2.0**900  # l^3 rows whose sum of cubes lies outside take the scaled path
 
 
 @dataclass(frozen=True)
@@ -337,10 +338,13 @@ def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         op(out, a[..., j], out=out)
-    return out[()]  # a scalar for one point, as reduce gives
+    return out
 
 
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
+    # a point is a row of its own, so every path below sees (..., rows, d) and gets a scalar back as a reduce gives
+    if pts.ndim == 1:
+        return _lp_many(spec, pts[None])[0]
     if spec.r == 2.0:  # x * x is |x| * |x| bitwise, without the (rows, d) temporary of abs
         return np.sqrt(_reduce_rows(np.add, pts * pts))
     a = np.abs(pts)
@@ -348,11 +352,38 @@ def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
         return _reduce_rows(np.maximum, a)
     if spec.r == 1.0:
         return _reduce_rows(np.add, a)
-    # scale for overflow safety at large r
-    peak = _reduce_rows(np.maximum, a)[..., None]
-    safe = np.where(peak == 0.0, 1.0, peak)
-    out = safe[..., 0] * _reduce_rows(np.add, (a / safe) ** spec.r) ** (1.0 / spec.r)
-    return np.where(peak[..., 0] == 0.0, 0.0, out)
+    if spec.r != 3.0:
+        return _lp_scaled(a, spec.r)
+    # l^3 without a power: the cube root of sum |x|^3, where that sum is a normal double no cube of which
+    # overflowed (peak about 2^-300 to 2^300); a row outside it takes the scaled path, decided per row
+    # so a row's bits never depend on the rows it is stacked with.  A zero row is 0 on both paths
+    with np.errstate(over="ignore", under="ignore"):
+        cubes = a * a
+        cubes *= a
+    out = _reduce_rows(np.add, cubes)
+    del cubes
+    far = (out > _CUBE_SUM_MAX) | (out < _CUBE_SUM_MIN)
+    np.cbrt(out, out=out)
+    if far.any():
+        out[far] = _lp_scaled(a[far], 3.0)
+    return out
+
+
+def _lp_scaled(a: np.ndarray, r: float) -> np.ndarray:
+    # peak * (sum (|x| / peak)^r)^(1/r), in place on a = |x|: scaled so no power leaves the double range
+    peak = _reduce_rows(np.maximum, a)
+    zero = peak == 0.0
+    some_zero = zero.any()
+    if some_zero:
+        peak[zero] = 1.0
+    a /= peak[..., None]
+    a **= r
+    out = _reduce_rows(np.add, a)
+    out **= 1.0 / r
+    out *= peak
+    if some_zero:
+        out[zero] = 0.0
+    return out
 
 
 def norm_eval_many(spec: NormSpec, pts: np.ndarray) -> np.ndarray:
@@ -376,7 +407,10 @@ def _eval_floats(spec: NormSpec, points: int) -> int:
     """A bound on the float64 values ``norm_eval_many`` holds for ``points`` points, besides the points.
 
     l^1, l^2 and l^inf hold a (points, d) temporary and a row reduction;
-    another r holds three (points, d) temporaries and three per point.  A
+    another r is counted at three (points, d) temporaries and three values
+    per point, and holds at most two and four: |x| with its cubes (l^3) or
+    with a copy of the rows that take the scaled path (2d + 3.25 values a
+    point traced when every l^3 row does).  A
     gauge holds the result and, per point of a block, up to four rows of
     facet values and their maximum.
     """

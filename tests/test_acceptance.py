@@ -28,7 +28,7 @@ PINNED_DETAILS = {
     1: "a_2=1.0 b_2=1.0 (exact: True); rel err a_1=0.00e+00, b_4=1.69e-16",
     2: "1000 cases, 0 failures, worst margin -8.882e-16",
     3: "96 single-atom cases, max rel route gap 2.555e-16",
-    4: "20/20 within 4 stderr, worst deviation 2.18 sigma",
+    4: "20/20 within 4 stderr, worst deviation 1.74 sigma",
     5: "500+500 cases, 0 lower / 0 upper failures, min margin 1.733e-03",
     6: "200 cases/property, failures {'level': 0, 'chain': 0, 'p-mono': 0, 'l2-identity': 0},"
     " max p=2 identity rel err 5.817e-16",

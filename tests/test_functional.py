@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from khbm import functional, norms
+from khbm import tolerances as tol
 from khbm.combinatorics import SubsetRatioInput, subset_power_ratio
 from khbm.distributions import SymmetricAtoms, rademacher
 from khbm.functional import (
@@ -236,14 +237,14 @@ def test_memory_bound_refuses_before_allocating(monkeypatch):
         ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50))
     monkeypatch.setenv("KHBM_BUDGET", "357")
     assert ipf_exact(np.ones((2, 50)), rademacher(), 2.0, LpNorm(2.0, 50)).terms_evaluated == 4
-    # 2^12 terms fit, but the 2^12 x 12 sign table as built and its 2^12 x 3 sums do not
+    # 2^12 terms fit, but the 2^11 x 12 half sign table as built and its 2^11 x 3 sums do not
     monkeypatch.setenv("KHBM_BUDGET", "5000")
     with pytest.raises(EnumerationBudgetError, match="floats"):
         ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
-    monkeypatch.setenv("KHBM_BUDGET", "139263")
-    with pytest.raises(EnumerationBudgetError, match="sign tables and their vector sums need 139264 floats"):
+    monkeypatch.setenv("KHBM_BUDGET", "71727")
+    with pytest.raises(EnumerationBudgetError, match="sign tables and their vector sums need 71728 floats"):
         ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3))
-    monkeypatch.setenv("KHBM_BUDGET", "139264")
+    monkeypatch.setenv("KHBM_BUDGET", "71728")
     assert ipf_two_valued_exact(np.ones((12, 3)), 0.5, 2.0, LpNorm(2.0, 3)).terms_evaluated == 4096
 
 
@@ -294,6 +295,15 @@ def test_two_valued_route_matches_exact():
             assert abs(a.pth_power - b.pth_power) <= 1e-12 * max(a.pth_power, b.pth_power)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_two_valued_polytope_matches_exact(t):
+    # a gauge's half rows give ||-x|| from ||x||, as the exact kernel's folded first coordinate does
+    v = np.random.default_rng(9).standard_normal((7, 2))
+    a = ipf_exact(v, SymmetricAtoms(((1.0, t),)), 2.5, _HEXAGON)
+    b = ipf_two_valued_exact(v, t, 2.5, _HEXAGON)
+    assert tol.close(a.pth_power, b.pth_power) and tol.close(a.value, b.value)
+
+
 def per_subset_two_valued(v, t, p, norm):
     """Reference: the subset/sign expansion one subset at a time, folded as the route folds."""
     n, w0 = len(v), 1.0 - 2.0 * t
@@ -311,15 +321,41 @@ def per_subset_two_valued(v, t, p, norm):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
-def test_two_valued_blocks_bitwise_equal_per_subset(n):
-    rng = np.random.default_rng(100 + n)
-    v = rng.standard_normal((n, 3))
-    for t in (0.125, 0.25, 0.5):
-        for r in (1.0, 1.5, math.inf):
-            res = ipf_two_valued_exact(v, t, 2.5, LpNorm(r, 3))
-            pth, value = per_subset_two_valued(v, t, 2.5, LpNorm(r, 3))
-            assert (res.pth_power, res.value) == (pth, value)  # bitwise, not within a tolerance
-            assert res.terms_evaluated == (3**n - 1 if t < 0.5 else 2**n)
+def test_two_valued_blocks_bitwise_equal_per_subset(monkeypatch, n):
+    # a chunk's one product of the half table with all its subsets' rows, against one full-table product per
+    # subset: bitwise for d >= 2; at d = 1 numpy multiplies a subset alone by a matrix-vector path that sums
+    # in another order, so its sums agree within the recursive-summation bound (k - 1) eps sum_i |x_i|
+    sums = []
+
+    def spy(norm, pts):
+        sums.append(pts)
+        return norm_eval_many(norm, pts)
+
+    def rev(subset):
+        return subset[::-1]
+
+    monkeypatch.setattr(functional, "norm_eval_many", spy)
+    for d in (3, 1):
+        v = np.random.default_rng(100 + n).standard_normal((n, d))
+        for t in (0.125, 0.25, 0.5):
+            for r in (1.0, 1.5, math.inf):
+                sums.clear()
+                res = ipf_two_valued_exact(v, t, 2.5, LpNorm(r, d))
+                pth, value = per_subset_two_valued(v, t, 2.5, LpNorm(r, d))
+                assert res.terms_evaluated == (3**n - 1 if t < 0.5 else 2**n)
+                if d >= 2:
+                    assert (res.pth_power, res.value) == (pth, value)  # bitwise, not within a tolerance
+                    continue
+                # the subsets in the route's order: by size, then colex rank; at t = 1/2 only the full set
+                subsets = [s for k in range(1, n + 1) for s in sorted(itertools.combinations(range(n), k), key=rev)]
+                subsets = subsets if t < 0.5 else subsets[-1:]
+                got = [half for chunk in sums for half in np.moveaxis(chunk, 1, 0)]  # (2^(k-1), d) per subset
+                assert len(got) == len(subsets)
+                for half, subset in zip(got, subsets):
+                    x = v[list(subset)]
+                    bound = (len(subset) - 1) * np.finfo(float).eps * np.abs(x).sum()
+                    assert np.all(np.abs(half - _sign_matrix(len(subset))[1::2] @ x) <= bound)
+                assert tol.close(res.pth_power, pth) and tol.close(res.value, value)
 
 
 def test_sign_matrix_is_read_only():
@@ -400,7 +436,7 @@ def test_monte_carlo_deterministic_per_seed():
 def choice_monte_carlo(v, f, p, norm, samples, seed):
     """Reference: one rng.choice draw of every index, one product, one norm call."""
     values, weights = _law_support(f)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.choice(len(values), size=(samples, len(v)), p=weights)
     norms = norm_eval_many(norm, values[idx] @ v)
     peak = float(norms.max())
@@ -460,7 +496,7 @@ def test_monte_carlo_two_row_blocks_bitwise_equal_one_draw(monkeypatch, samples)
     res = ipf_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples=samples, seed=7)
     assert min(len(b) for b in blocks) >= 2
     values, weights = _law_support(f)
-    idx = np.random.Generator(np.random.Philox(7)).choice(len(values), size=(samples, 10), p=weights)
+    idx = np.random.Generator(np.random.PCG64(7)).choice(len(values), size=(samples, 10), p=weights)
     assert np.concatenate(blocks).tobytes() == (values[idx] @ v).tobytes()
     assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples, 7)
 
@@ -698,7 +734,7 @@ def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
 
 
 def test_parallel_monte_carlo_is_one_draw(monkeypatch):
-    # per-block Philox streams, advanced past the uniforms before each block, are the one stream
+    # per-block PCG64 streams, advanced past the uniforms before each block, are the one stream
     monkeypatch.setattr(functional, "_WORKERS", 2)
     *_, res = _parallel_outputs(monkeypatch)
     want = choice_monte_carlo(_V3, _MC_LAW, 2.5, LpNorm(3.0, 3), 350_001, 5)

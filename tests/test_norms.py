@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_lp_overflow_safe():
 
 
 def _lp_rows_reference(r, pts):
-    # numpy's own reductions over the last axis, one call each
+    # numpy's own reductions over the last axis, one call each; a scalar for one point, as a reduce gives
     a = np.abs(pts)
     if math.isinf(r):
         return a.max(axis=-1)
@@ -51,8 +52,13 @@ def _lp_rows_reference(r, pts):
         return np.sqrt((a * a).sum(axis=-1))
     peak = a.max(axis=-1, keepdims=True)
     safe = np.where(peak == 0.0, 1.0, peak)
-    out = safe[..., 0] * ((a / safe) ** r).sum(axis=-1) ** (1.0 / r)
-    return np.where(peak[..., 0] == 0.0, 0.0, out)
+    scaled = np.where(peak[..., 0] == 0.0, 0.0, safe[..., 0] * ((a / safe) ** r).sum(axis=-1) ** (1.0 / r))
+    if r != 3.0:
+        return scaled[()]
+    # l^3 without a power: the cube root of the sum of cubes wherever that sum is a normal double
+    # with no overflowed cube, in [2^-900, 2^900]; scaled elsewhere, a zero row included
+    cubes = (a * a * a).sum(axis=-1)
+    return np.where((cubes >= 2.0**-900) & (cubes <= 2.0**900), np.cbrt(cubes), scaled)[()]
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -69,6 +75,34 @@ def test_lp_rows_bitwise_equal_numpy_reduce(d):
                 want = _lp_rows_reference(r, x)
                 assert (type(got), got.shape) == (type(want), want.shape)
                 assert got.tobytes() == want.tobytes(), (r, x.shape)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_lp_mixed_stack_bitwise_equal_one_call_per_row(d):
+    # l^3 decides per row between its power-free and scaled paths, so a row at 1e+-200 (whose cubes overflow or
+    # underflow), an exact zero and an ordinary row give the same bits stacked together as alone, and no warning
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((40, d)) * rng.choice([1e-200, 1.0, 1e200], size=(40, 1))
+    pts[::5] = 0.0
+    pts[1, 0] = 1e-200  # a tiny entry in an ordinary row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1.5, 3.0):
+            stacked = norm_eval_many(LpNorm(r, d), pts.reshape(4, 10, d))
+            alone = np.array([norm_eval_many(LpNorm(r, d), row[None])[0] for row in pts])
+            assert stacked.tobytes() == alone.tobytes()
+            assert np.all(np.isfinite(stacked)) and np.all((stacked == 0.0) == (pts == 0.0).all(axis=1).reshape(4, 10))
+
+
+def test_lp3_matches_mpmath():
+    # both l^3 paths, power-free and scaled, within a few ulps of the exact cube root of the exact sum of cubes
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    pts = rng.standard_normal((300, 3)) * rng.choice([1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300], size=(300, 1))
+    got = norm_eval_many(LpNorm(3.0, 3), pts)
+    with mpmath.workdps(40):
+        want = [float(mpmath.cbrt(sum(abs(mpmath.mpf(x)) ** 3 for x in row))) for row in pts.tolist()]
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.array(want))
 
 
 @pytest.mark.parametrize("bad_r", [0.5, 0.0, -1.0])
