@@ -101,10 +101,10 @@ thread.  The bits cannot depend on the worker count: block edges
 depend on the input alone; each exact block's pairs go through ``_fold``,
 whose maximum and exactly rounded ``math.fsum`` ignore their order; and
 each Monte Carlo block draws from its own PCG64 generator, jumped ahead
-by ``advance(lo * n)`` (one 64-bit output a uniform, O(log(lo * n)) steps), which
-continues the one stream exactly (O'Neill, "PCG: A family of simple fast
-space-efficient statistically good algorithms for random number
-generation", 2014).
+by ``advance(lo * n)`` (one 64-bit output a uniform, in O(log(lo * n))
+steps), which continues the one stream exactly (O'Neill, "PCG: A family
+of simple fast space-efficient statistically good algorithms for random
+number generation", 2014).
 No more blocks run at once than the budget holds copies of the counted
 block, and a call the budget refuses is refused before any thread starts.
 """
@@ -534,7 +534,7 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
 
     def chunk(unit: tuple[int, float, int, int]) -> tuple[list, list]:
         # the half rows (entry 0 at +1) of every subset of the chunk in one product, (2^(k-1), subsets, d);
-        # row 2j + 1 of a subset's full table is half row j, and row 2j its negation, half row 2^(k-1) - 1 - j
+        # row 2j + 1 of a subset's full table is half row j, and row 2j the negation of half row 2^(k-1) - 1 - j
         k, coef, lo, hi = unit
         m = hi - lo
         half = norm_eval_many(norm, (signs[k] @ rows[_subsets(n, k, lo, hi).T].reshape(k, m * d)).reshape(-1, m, d))
