@@ -29,7 +29,14 @@ few MB; each unit keeps its largest norm M_i and
 sum_j w_j (||s_j||/M_i)^p, and the pairs are rescaled to the overall
 largest norm and combined with ``math.fsum``.  Results therefore do not
 depend on the block size, and no norm is raised to the power p before
-it is scaled, so large p cannot overflow (see ``IpResult``).
+it is scaled, so large p cannot overflow (see ``IpResult``).  The half
+tables' partial sums are held as coordinate planes (B, d, rows), one
+transposed copy of each product, and a block is their broadcast sum
+(B, d, units, unit_len), handed to the norm as a (B, units, unit_len, d)
+view: the add runs along the table rows rather than along d, and every
+column the norm's loop reads is a contiguous plane.  The adds and the
+norm's column order are those of a row layout, so no bit depends on the
+layout (``test_exact_planes_bitwise_equal_row_layout``).
 
 The kernel, ``_enumerate_pth_power``, is the one door to exact
 enumeration: it checks p >= 1 and the k^n terms against the budget,
@@ -67,31 +74,42 @@ BLAS builds whose product rows do not depend on the number of columns
 half tables, held for the call and taken as built in it
 (``norms._sign_floats``), and its largest chunk (subsets, gathered rows,
 product, norms and their temporaries, the rebuilt array) are counted the
-same way.  Monte Carlo draws blocks of about ``_MC_BLOCK / n``
-samples, and each uniform u becomes the support value at index
-``searchsorted(cdf, u, side="right")`` on the normalized cumulative
-weights of ``_law_support``, a fixed permutation of the kernel's cached
-support, as ``Generator.choice`` maps it, by a guide table of
-``_MC_TABLE`` buckets over [0, 1) (Chen & Asau, AIIE Trans. 6, 1974;
-Devroye 1986, III.2.4): a bucket that no cdf point falls inside maps
-every uniform in it to one value, so only uniforms in the at most k - 1
-buckets holding a cdf point are searched.  A one-row tail joins the
-block before it, since a one-row product takes BLAS's matrix-vector
-path, which can round differently.  The output is then bitwise that of
-a single ``choice`` draw on BLAS builds whose matrix-product rows do not
-depend on the number of rows, as
-``test_monte_carlo_blocks_bitwise_equal_one_draw`` checks.  Each block
-in flight has its own uniforms buffer and map, and the map works through
-the buffer ``_MC_SLICE`` uniforms at a time.  The mean and standard error
-are taken in the place of the stored norms, by numpy's own steps, so the
-call holds one sample-sized array.  That array and what the largest
-block holds (its uniforms, vector sums and the norm's temporaries, as
-``norms._eval_floats`` counts them, and its map) are counted against the
-budget before the first draw.  ``test_*_memory_stays_within_its_count``
-check each route's count against the traced peak.
+same way.
+
+Monte Carlo cuts the n rows into q consecutive coordinate groups of g
+rows, g the largest whose k^g joint outcomes number at most
+``_MC_OUTCOMES`` (4,096) and the samples (g = n for k = 1), and draws
+one uniform per group of each sample, q a sample, sample-major from one
+PCG64 stream.  Per group size (at most two: g, and the rest) it
+tabulates the outcomes of ``_law_support``'s values (the first row
+varying slowest), the normalized cdf of their product masses, and a
+guide table (``_guide``; Chen & Asau, AIIE Trans. 6, 1974; Devroye 1986,
+III.2.4) of a power of two of at least 16 buckets per outcome and
+``_MC_TABLE``: a bucket that no cdf point falls inside maps every uniform
+in it to one outcome, and only uniforms in the buckets holding a cdf
+point are searched, so each uniform becomes the outcome at
+``searchsorted(cdf, u, side="right")``, as ``Generator.choice`` maps it.
+Each group's partial sums over its outcomes are one matrix product, held
+as d planes.  A block of samples looks up each group's planes at its
+outcomes and adds them in group order into d sum planes, which the norm
+reads as (samples, d).  These tables are built here, with no code shared
+with the exact kernel's ``_half_table``: the sampled route stays an
+independent check of the exact one.  The output is then bitwise that of
+one draw of every group uniform at once
+(``test_monte_carlo_blocks_bitwise_equal_one_draw``), and its law is the
+product law of the draws.  The norms are stored in one sample-sized
+array; the scaling, the p-th power and the sums of the mean and of the
+squared deviations then run in place over ranges of ``_MC_SUMS``
+samples, and ``math.fsum`` adds the ranges' sums.  That array, the group
+tables and what building them holds, and per block in flight its
+uniforms, buckets, outcomes, sum planes, lookups and the norm's
+temporaries (``norms._eval_floats``), are counted against the budget
+before the first draw.  ``test_*_memory_stays_within_its_count`` check
+each route's count against the traced peak.
 
 The blocks of these three routes are independent, and a call of at
-least ``_PARALLEL`` (2^20) terms or uniforms runs them on up to
+least ``_PARALLEL`` (2^20) terms (for Monte Carlo, the uniforms and the
+d lookups of each, samples * q * (d + 1)) runs them on up to
 ``_WORKERS`` threads, one per available core, at most ``_MAX_WORKERS``:
 the calling thread and a pool that the call opens and shuts down, so no
 thread outlives the call.  numpy releases the interpreter lock inside its
@@ -99,12 +117,14 @@ loops and BLAS calls, so the blocks overlap.  Smaller calls, such as
 every call of the acceptance criteria and ``bm`` reports, start no
 thread.  The bits cannot depend on the worker count: block edges
 depend on the input alone; each exact block's pairs go through ``_fold``,
-whose maximum and exactly rounded ``math.fsum`` ignore their order; and
-each Monte Carlo block draws from its own PCG64 generator, jumped ahead
-by ``advance(lo * n)`` (one 64-bit output a uniform, in O(log(lo * n))
-steps), which continues the one stream exactly (O'Neill, "PCG: A family
-of simple fast space-efficient statistically good algorithms for random
-number generation", 2014).
+whose maximum and exactly rounded ``math.fsum`` ignore their order; each
+Monte Carlo lane keeps one PCG64 generator, which it jumps ahead to each
+of its blocks by ``advance`` (one 64-bit output a uniform, in O(log)
+steps), continuing the one stream exactly (O'Neill, "PCG: A family of
+simple fast space-efficient statistically good algorithms for random
+number generation", 2014); and the moments' ranges are fixed, their sums
+added by ``math.fsum``.  Each lane writes only its own buffers and its
+blocks' slice of the stored norms, and results are gathered by block.
 No more blocks run at once than the budget holds copies of the counted
 block, and a call the budget refuses is refused before any thread starts.
 """
@@ -152,9 +172,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
-_MC_BLOCK = 1 << 16  # uniforms per Monte Carlo block: each (block, n) buffer is 0.5 MB
-_MC_TABLE = 1 << 12  # guide-table buckets over [0, 1): a power of two, so u * B is exact
-_MC_SLICE = 1 << 14  # uniforms mapped per pass: its buckets and search temporaries stay under 0.5 MB
+_MC_BLOCK = 1 << 15  # uniforms per Monte Carlo block, of 2^14 samples at most: a lane's buffers stay near 1.5 MB
+_MC_OUTCOMES = 1 << 12  # joint outcomes a Monte Carlo coordinate group tabulates at most
+_MC_TABLE = 1 << 12  # guide-table buckets at least: a power of two, so u * B is exact
+_MC_SUMS = 1 << 16  # samples a sum of the mean or the deviations covers; fsum adds them, whatever the lanes
 _TINY = math.ulp(0.0)  # the least positive double
 _PARALLEL = 1 << 20  # terms from which a call's blocks run on the pool; below it a pool costs more than it saves
 _MAX_WORKERS = 4
@@ -419,20 +440,25 @@ def _enumerate_pth_power(
     digits_b, _ = _half_table(k, n - h, False)
 
     def block(tables: tuple, i: int) -> tuple[list, list]:
-        sums_a, sums_b, w_a, w_b = tables
-        top, scaled = _scaled_powers(norm_eval_many(norm, sums_a[:, i : i + step, None] + sums_b[:, None]), w_b, p)
+        # the block's sums as coordinate planes (B, d, step, unit_len), read by the norm as (B, step, unit_len, d)
+        planes_a, planes_b, w_a, w_b = tables
+        planes = planes_a[:, :, i : i + step, None] + planes_b[:, :, None]
+        top, scaled = _scaled_powers(norm_eval_many(norm, planes.transpose(0, 2, 3, 1)), w_b, p)
         return top.tolist(), (w_a[..., i : i + step] * scaled).tolist()
 
     out = []
     for a in range(0, count, per):
         b = min(a + per, count)
         vals, wts = values[a:b], weights[a:b]
-        # take keeps a gathered stack C-contiguous: numpy multiplies a strided one without BLAS, rounding differently
-        sums_a, sums_b = vals.take(digits_a, -1) @ rows[a:b, :h], vals.take(digits_b, -1) @ rows[a:b, h:]
+        # take keeps a gathered stack C-contiguous: numpy multiplies a strided one without BLAS, rounding differently.
+        # Each half table's sums are then held as coordinate planes (B, d, rows), so a block's add runs along rows,
+        # not along d, and every column the norm reads is contiguous
+        planes_a = (vals.take(digits_a, -1) @ rows[a:b, :h]).transpose(0, 2, 1).copy()
+        planes_b = (vals.take(digits_b, -1) @ rows[a:b, h:]).transpose(0, 2, 1).copy()
         w_a = wts.take(digits_a, -1).prod(axis=-1) * mult
         w_b = wts.take(digits_b, -1).prod(axis=-1)[..., None, :]
         starts = range(0, units, step)
-        parts = _map(partial(block, (sums_a, sums_b, w_a, w_b)), starts, _lanes(len(starts), k**n, floats, budget))
+        parts = _map(partial(block, (planes_a, planes_b, w_a, w_b)), starts, _lanes(len(starts), k**n, floats, budget))
         for j in range(b - a):
             pth, value = _pth_and_value(*_fold_blocks([(tops[j], sums[j]) for tops, sums in parts], p), p)
             out.append(IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=k**n))
@@ -551,63 +577,82 @@ def ipf_two_valued_exact(v, t: float, p: float, norm: NormSpec) -> IpResult:
     return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=terms)
 
 
-def _choice_map(values: np.ndarray, cdf: np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``Generator.choice``'s map from uniforms to support values, by a guide table.
+def _buckets(points: int) -> int:
+    # a guide table's size: a power of two of at least 16 buckets a cdf point and _MC_TABLE
+    return 1 << (max(_MC_TABLE, 16 * points) - 1).bit_length()
 
-    choice draws index searchsorted(cdf, u, side="right").  On a bucket
-    [b/B, (b+1)/B) that no cdf point falls inside, that index is one
-    number, and the table holds its value; a bucket holding a cdf point
-    holds NaN, and its uniforms are searched.  The returned map takes a
-    C-contiguous array of at most ``size`` uniforms in [0, 1) and
-    overwrites it with the drawn values, ``_MC_SLICE`` at a time through
-    one bucket buffer of min(``_MC_SLICE``, ``size``) indices.
+
+def _guide(cdf: np.ndarray) -> tuple:
+    """A guide table for ``searchsorted(cdf, u, side="right")`` on [0, 1) (Chen & Asau 1974).
+
+    Returned as (cdf, B, first, split).  B buckets, a power of two of at
+    least 16 per cdf point and ``_MC_TABLE``, so floor(u * B) is exact.
+    ``first[b]`` is #{cdf <= b / B}, which is the index of every uniform
+    in bucket b unless some cdf point falls inside (b / B, (b + 1) / B);
+    ``split`` marks those buckets, at most len(cdf) - 1, whose uniforms are
+    searched, and is None when there are none (every cdf point on a bucket
+    edge, as for dyadic masses).  Both counts are cumulative ``bincount``s
+    of ceil and floor of cdf * B, which is exact: O(B + len(cdf)).
     """
-    B = _MC_TABLE
-    edges = np.arange(B + 1) / B
-    first = cdf.searchsorted(edges[:-1], side="right")
-    split = first != cdf.searchsorted(edges[1:], side="left")
-    # the bucket values, then the support itself for a searched index i at B + i
-    table = np.concatenate([np.where(split, np.nan, values[first]), values])
-    searched = bool(split.any())
-    buckets = np.empty(min(_MC_SLICE, size), dtype=np.intp)
-
-    def draw(u: np.ndarray) -> np.ndarray:
-        flat = u.reshape(-1)
-        for lo in range(0, flat.size, _MC_SLICE):
-            part = flat[lo : lo + _MC_SLICE]
-            b = buckets[: part.size]
-            np.multiply(part, B, out=b, casting="unsafe")  # u * B is exact, so this is floor(u * B)
-            if searched:
-                j = np.flatnonzero(split[b])
-                b[j] = B + cdf.searchsorted(part[j], side="right")
-            np.take(table, b, out=part, mode="clip")
-        return u
-
-    return draw
+    B = _buckets(len(cdf))
+    scaled = cdf * B
+    first = np.bincount(np.ceil(scaled).astype(np.intp), minlength=B + 1)[:B]
+    below = np.bincount(scaled.astype(np.intp), minlength=B + 1)[:B]  # #{cdf < (b + 1) / B}, once summed
+    np.cumsum(first, out=first)
+    np.cumsum(below, out=below)
+    split = first != below
+    return cdf, B, first, split if split.any() else None
 
 
-def _scaled_moments(x: np.ndarray, p: float) -> tuple[float, float, float]:
+def _draw_outcomes(u: np.ndarray, guide: tuple, bucket: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``index[:] = searchsorted(cdf, u, side="right")`` for uniforms u in [0, 1), by ``_guide``'s table.
+
+    That is ``Generator.choice``'s map.  ``bucket`` and ``index`` are intp
+    buffers of u's length.
+    """
+    cdf, B, first, split = guide
+    np.multiply(u, B, out=bucket, casting="unsafe")  # u * B is exact, so this is floor(u * B)
+    np.take(first, bucket, out=index, mode="clip")
+    if split is not None:
+        far = np.flatnonzero(split[bucket])
+        index[far] = cdf.searchsorted(u[far], side="right")
+    return index
+
+
+def _scaled_moments(x: np.ndarray, p: float, lanes: int) -> tuple[float, float, float]:
     """The largest entry M of x, then the mean and ``std(ddof=1)`` of (x / M)^p, overwriting x.
 
-    The steps are those of numpy's ``mean`` and ``std``: one pairwise
-    ``np.add.reduce`` divided by the count, the deviations squared in place
-    and summed the same way, so the bits are theirs without their
-    sample-sized temporaries.  ``**=`` keeps numpy's scalar-power path (a
-    square for p = 2) that ``(x / M) ** p`` takes.  A zero x (M = 0) is
-    not scaled.
+    x is cut into ranges of ``_MC_SUMS``, which run on ``lanes``: each is
+    scaled and raised in place, and summed by numpy's pairwise
+    ``np.add.reduce``; the deviations from the mean are then squared in
+    place and summed the same way.  ``math.fsum`` adds the ranges' sums,
+    so the bits depend on x alone, and up to ``_MC_SUMS`` entries they are
+    those of numpy's ``mean`` and ``std``, without their sample-sized
+    temporaries.  ``**=`` keeps numpy's scalar-power path (a square for
+    p = 2) that ``(x / M) ** p`` takes.  A zero x (M = 0) is not scaled.
     """
     peak = float(x.max())
-    if peak > 0.0:
-        x /= peak
-        x **= p
-    mean = float(np.add.reduce(x)) / x.size
-    x -= mean
-    x *= x
-    return peak, mean, math.sqrt(float(np.add.reduce(x)) / (x.size - 1))
+    parts = [x[lo : lo + _MC_SUMS] for lo in range(0, x.size, _MC_SUMS)]
+    lanes = min(lanes, len(parts))
+
+    def powers(part: np.ndarray) -> float:
+        if peak > 0.0:
+            part /= peak
+            part **= p
+        return float(np.add.reduce(part))
+
+    mean = math.fsum(_map(powers, parts, lanes)) / x.size
+
+    def squares(part: np.ndarray) -> float:
+        part -= mean
+        part *= part
+        return float(np.add.reduce(part))
+
+    return peak, mean, math.sqrt(math.fsum(_map(squares, parts, lanes)) / (x.size - 1))
 
 
 def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int, seed: int) -> IpResult:
-    """Monte Carlo I_p with a PCG64 sample stream, each block jumped ahead to its place in it.
+    """Monte Carlo I_p from one PCG64 stream, one uniform per coordinate group of each sample.
 
     ``stderr`` is the standard error of the p-th power mean, not of the
     root; the result is fully determined by (seed, samples).
@@ -619,36 +664,62 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     rows = _as_rows(v)
     _check_dims(rows, norm)
     values, weights = _law_support(f)
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    n, d = rows.shape
-    step = max(2, _MC_BLOCK // n)
-    edges = _edges(samples, step)
-    # the stored samples, whose statistics are then taken in their place;
-    # and for the largest block its uniforms (then the drawn values), its
-    # vector sums and the norm's temporaries, and its map: the guide table
-    # and what building it holds (five tables, four supports at most), and
-    # up to four slices (the bucket indices and the search's temporaries)
-    block, budget = min(samples, step + 1), default_budget()
-    uniforms = block * n
-    floats = samples + uniforms + block * d + _eval_floats(norm, block)
-    floats += 5 * _MC_TABLE + 4 * len(values) + 4 * min(_MC_SLICE, uniforms)
-    _check_floats(floats, budget, "the Monte Carlo samples and largest block")
-    lanes = _lanes(len(edges) - 1, samples * n, floats, budget)
-    # one uniforms buffer and one map (its bucket buffer) per block in flight
-    free = [(u, _choice_map(values, cdf, uniforms)) for u in np.empty((lanes, block, n))]
+    (n, d), k = rows.shape, len(values)
+    # g rows a group: the most whose k^g joint outcomes number at most _MC_OUTCOMES and the samples
+    g = 1
+    while g < n and k ** (g + 1) <= min(_MC_OUTCOMES, samples):
+        g += 1
+    q = -(-n // g)
+    sizes = {g, n - (q - 1) * g}
+    step = max(1, min(samples, _MC_BLOCK // max(q, 2)))
+    blocks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+    # the stored samples and the group tables (each group's sum planes; per group size its cdf and guide,
+    # and what building them holds); per block in flight its uniforms, buckets, outcomes, sum planes and one
+    # plane of lookups, the split buckets' search, the norm's temporaries and result
+    budget = default_budget()
+    held = samples + q * d * k**g + sum(k**m * (3 * m + d + 4) + 3 * _buckets(k**m) for m in sizes)
+    lane_floats = step * (q + d + 6) + _eval_floats(norm, step)
+    _check_floats(held + lane_floats, budget, "the Monte Carlo samples and largest block")
+    lanes = _lanes(len(blocks), samples * q * (d + 1), lane_floats, budget - held)
+    guides = {}
+    for m in sizes:
+        # the k^m joint outcomes of m rows, the first row varying slowest, and their normalized cdf
+        digits = np.indices((k,) * m).reshape(m, -1).T.copy()  # C-ordered: a product rounds by its operands' layout
+        cdf = weights[digits].prod(axis=1).cumsum()
+        cdf /= cdf[-1]
+        guides[m] = values[digits], _guide(cdf)
+    groups = []
+    for lo in range(0, n, g):
+        outcomes, guide = guides[min(g, n - lo)]
+        groups.append(((outcomes @ rows[lo : lo + g]).T.copy(), guide))  # the group's partial sums, d planes
     norms = np.empty(samples)
+    local = threading.local()
 
     def draw_block(lo_hi: tuple[int, int]) -> None:
+        # a lane keeps one generator, advanced past the uniforms of the blocks before each of its own (it takes
+        # them in order), and one set of buffers
         lo, hi = lo_hi
-        u, draw = free.pop()
-        bits = np.random.PCG64(seed)
-        bits.advance(lo * n)  # one 64-bit draw a uniform: the block continues the one stream
-        norms[lo:hi] = norm_eval_many(norm, draw(np.random.Generator(bits).random(out=u[: hi - lo])) @ rows)
-        free.append((u, draw))
+        m = hi - lo
+        if not hasattr(local, "bits"):
+            local.bits, local.at = np.random.PCG64(seed), 0
+            local.gen = np.random.Generator(local.bits)
+            local.u, local.acc = np.empty((step, q)), np.empty((d, step))
+            local.bucket, local.index = np.empty(step, np.intp), np.empty(step, np.intp)
+        local.bits.advance(lo * q - local.at)  # one 64-bit output a uniform, q a sample
+        local.at = hi * q
+        u, acc, bucket = local.gen.random(out=local.u[:m]), local.acc[:, :m], local.bucket[:m]
+        look = bucket.view(np.float64)  # a group's looked-up sums, once its buckets are read
+        for j, (planes, guide) in enumerate(groups):
+            index = _draw_outcomes(u[:, j], guide, bucket, local.index[:m])
+            for c in range(d):  # the groups' partial sums add in group order
+                if j == 0:
+                    np.take(planes[c], index, out=acc[c], mode="clip")
+                else:
+                    acc[c] += np.take(planes[c], index, out=look, mode="clip")
+        norms[lo:hi] = norm_eval_many(norm, acc.T)
 
-    _map(draw_block, list(zip(edges, edges[1:])), lanes)
-    peak, mean, std = _scaled_moments(norms, p)
+    _map(draw_block, blocks, lanes)
+    peak, mean, std = _scaled_moments(norms, p, lanes)
     pth, value = _pth_and_value(peak, mean, p)
     stderr, _ = _pth_and_value(peak, std / math.sqrt(samples), p)
     return IpResult(value=value, pth_power=pth, method="monte_carlo", stderr=stderr, terms_evaluated=samples)

@@ -27,11 +27,24 @@ call (``norms._sign_floats``); past n = 14 it is freed with the call.  A
 side that leaves the double range has no usable gap, so ``hanner_gap``,
 and ``falsify_hanner`` at such a trial before any violation, raise
 ``ValueError`` naming q.
+
+The falsifier's batches run on the lanes of ``functional._map`` when a
+search forms at least ``functional._PARALLEL`` floats, counted as
+trials * d * (n + 2^(n-1)): the draws and the half sign sums.  Smaller
+searches, such as criterion 8's of 10^4 trials, stay on the calling
+thread.  The batches draw from the one generator in batch order (a batch
+waits until the one before it has drawn), so the draws are the one-shot
+(trials, n, d) stream bitwise; and batch i starts only once batch
+i - lanes is scanned, and no batch after a hit starts.  The results are
+scanned in batch order, so the first violation or overflow is the one
+a serial scan finds, whatever the lane count.  The budget holds the
+sign table and one largest batch per lane.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +58,8 @@ from .functional import (
     _check_floats,
     _edges,
     _enumerate_pth_power,
+    _lanes,
+    _map,
     default_budget,
 )
 from .norms import LpNorm, NormSpec, _eval_floats, _sign_floats, _sign_matrix, norm_eval_many
@@ -105,6 +120,27 @@ def hanner_gap(norm: NormSpec, vectors, q: float, mode: Optional[str] = None) ->
     return HannerReport(q=q, n=n, lhs=lhs, rhs=rhs, gap=gap, verdict=_verdict(gap, lhs, rhs, mode))
 
 
+def _scan(signs: np.ndarray, draws: np.ndarray, norm: NormSpec, q: float, mode: str, start: int) -> Optional[tuple]:
+    """The first trial of a batch that violates ``mode`` or leaves the double range, or None.
+
+    Returned as (trial index, whether it overflowed, gap, larger side, its draw).
+    """
+    b, n, d = draws.shape
+    sums = signs @ draws  # (b, 2^(n-1), d): one stacked product per batch
+    with np.errstate(over="ignore", invalid="ignore"):  # a side that leaves the double range is refused
+        lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
+        vec_norms = norm_eval_many(norm, draws.reshape(-1, d)).reshape(b, n)
+        rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)
+        gap = lhs - rhs
+    cushion = np.maximum(tol.ABS_SLACK, tol.REL_SLACK * np.maximum(lhs, rhs))
+    over = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    bad = (gap > cushion if mode == "type" else gap < -cushion) | over
+    if not np.any(bad):
+        return None
+    i = int(np.argmax(bad))
+    return start + i, bool(over[i]), float(gap[i]), float(max(lhs[i], rhs[i])), draws[i]
+
+
 @dataclass(frozen=True)
 class FalsificationResult:
     witness: VectorTuple
@@ -136,38 +172,54 @@ def falsify_hanner(
     half = 1 << (n - 1)
     per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
     edges = _edges(trials, per)
-    # the half sign table as built in this call; the largest batch's draws, sums, norm temporaries and powered side
-    most = min(trials, per + 1)
-    floats = _sign_floats(n, True) + most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
-    _check_floats(floats, default_budget(), "the sign table and largest batch")
+    batches = list(enumerate(zip(edges, edges[1:])))
+    # the half sign table as built in this call; per batch in flight its draws, sums, norm temporaries and
+    # powered side, the largest batch's
+    budget, most = default_budget(), min(trials, per + 1)
+    table = _sign_floats(n, True)
+    batch_floats = most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
+    _check_floats(table + batch_floats, budget, "the sign table and largest batch")
+    lanes = _lanes(len(batches), trials * d * (n + half), batch_floats, budget - table)
     rng = np.random.default_rng(seed)
     signs = _sign_matrix(n, half=True)  # eps_1 = +1
-    for start, stop in zip(edges, edges[1:]):
-        # per-batch draws continue the one-shot (trials, n, d) stream bitwise
-        b = stop - start
-        batch = rng.standard_normal((b, n, d))
-        sums = signs @ batch  # (b, 2^(n-1), d): one stacked product per batch
-        with np.errstate(over="ignore", invalid="ignore"):  # a side that leaves the double range is refused below
-            lhs = 2.0 * (norm_eval_many(norm, sums) ** q).sum(axis=1)
-            vec_norms = norm_eval_many(norm, batch.reshape(-1, d)).reshape(b, n)
-            rhs = 2.0 * (np.abs(vec_norms @ signs.T) ** q).sum(axis=1)
-            gap = lhs - rhs
-        cushion = np.maximum(tol.ABS_SLACK, tol.REL_SLACK * np.maximum(lhs, rhs))
-        over = ~(np.isfinite(lhs) & np.isfinite(rhs))
-        bad = (gap > cushion if mode == "type" else gap < -cushion) | over
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            if over[i]:
-                raise ValueError(f"the sign sums at q = {q} leave the double range")
-            scale = max(lhs[i], rhs[i])
-            witness = batch[i] / np.linalg.norm(batch[i])
-            return FalsificationResult(
-                witness=VectorTuple(witness),
-                violation=float(abs(gap[i]) / scale),
-                trial_index=start + i,
-                gap=float(gap[i]),
-            )
-    return None
+    # batches draw in batch order, so the draws are the one-shot (trials, n, d) stream; batch i starts once
+    # batch i - lanes has been scanned, and no batch after a hit starts
+    turn = threading.Condition()
+    drawn, scanned, first_hit = [0], [False] * len(batches), [len(batches)]
+
+    def search(batch: tuple[int, tuple[int, int]]) -> Optional[tuple]:
+        i, (start, stop) = batch
+        found = None
+        try:
+            with turn:
+                turn.wait_for(lambda: first_hit[0] < i or (drawn[0] == i and (i < lanes or scanned[i - lanes])))
+                if first_hit[0] < i:
+                    return None
+                draws = rng.standard_normal((stop - start, n, d))
+                drawn[0] = i + 1
+                turn.notify_all()
+            found = _scan(signs, draws, norm, q, mode, start)
+        finally:
+            with turn:  # also after an error, so no lane waits on this batch for ever
+                drawn[0], scanned[i] = max(drawn[0], i + 1), True
+                if found is not None:
+                    first_hit[0] = min(first_hit[0], i)
+                turn.notify_all()
+        return found
+
+    # the first hit in batch order wins, as in one serial scan of the trials
+    hit = next((found for found in _map(search, batches, lanes) if found is not None), None)
+    if hit is None:
+        return None
+    index, over, gap, scale, draw = hit
+    if over:
+        raise ValueError(f"the sign sums at q = {q} leave the double range")
+    return FalsificationResult(
+        witness=VectorTuple(draw / np.linalg.norm(draw)),
+        violation=abs(gap) / scale,
+        trial_index=index,
+        gap=gap,
+    )
 
 
 @dataclass(frozen=True)

@@ -342,12 +342,16 @@ def _reduce_rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def _lp_many(spec: LpNorm, pts: np.ndarray) -> np.ndarray:
-    # a point is a row of its own, so every path below sees (..., rows, d) and gets a scalar back as a reduce gives
+    # a point is a row of its own, so every path below sees (..., rows, d) and gets a scalar back as a reduce gives.
+    # The (rows, d) temporary keeps the points' layout below 8 coordinates, so coordinate planes (the exact kernel's
+    # and Monte Carlo's) stay planes for the column loop; from 8 on it is C-ordered, since numpy sums a row
+    # pairwise only along a contiguous axis, and a strided row's sum would round differently
     if pts.ndim == 1:
         return _lp_many(spec, pts[None])[0]
+    order = "K" if pts.shape[-1] < 8 else "C"
     if spec.r == 2.0:  # x * x is |x| * |x| bitwise, without the (rows, d) temporary of abs
-        return np.sqrt(_reduce_rows(np.add, pts * pts))
-    a = np.abs(pts)
+        return np.sqrt(_reduce_rows(np.add, np.multiply(pts, pts, order=order)))
+    a = np.abs(pts, order=order)
     if math.isinf(spec.r):
         return _reduce_rows(np.maximum, a)
     if spec.r == 1.0:
@@ -393,13 +397,13 @@ def norm_eval_many(spec: NormSpec, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"points have last axis {pts.shape[-1]}, expected {spec.dim}")
     if isinstance(spec, LpNorm):
         return _lp_many(spec, pts)
-    flat = pts.reshape(-1, spec.dim)
-    out = np.empty(flat.shape[0])
+    # one flat view a coordinate, so neither rows nor coordinate planes are copied
+    cols = [pts[..., j].reshape(-1) for j in range(spec.dim)]
+    out = np.empty(cols[0].size)
     step = max(1, _GAUGE_BLOCK // spec.facets.shape[0])
-    for i in range(0, flat.shape[0], step):
+    for i in range(0, out.size, step):
         # max(pts @ A.T), summed left to right: BLAS rounds a point by how many share its call
-        block = flat[i : i + step]
-        out[i : i + step] = sum(block[:, j, None] * spec.facets[:, j] for j in range(spec.dim)).max(axis=1)
+        out[i : i + step] = sum(c[i : i + step, None] * spec.facets[:, j] for j, c in enumerate(cols)).max(axis=1)
     return out.reshape(pts.shape[:-1])
 
 

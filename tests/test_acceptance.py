@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from khbm import acceptance, functional
+from khbm import acceptance, functional, hanner
 from khbm.acceptance import criterion_ids, run_criteria, run_criterion
 from khbm.cli import main
 from khbm.distributions import rademacher
@@ -28,7 +28,7 @@ PINNED_DETAILS = {
     1: "a_2=1.0 b_2=1.0 (exact: True); rel err a_1=0.00e+00, b_4=1.69e-16",
     2: "1000 cases, 0 failures, worst margin -8.882e-16",
     3: "96 single-atom cases, max rel route gap 2.555e-16",
-    4: "20/20 within 4 stderr, worst deviation 1.74 sigma",
+    4: "20/20 within 4 stderr, worst deviation 1.56 sigma",
     5: "500+500 cases, 0 lower / 0 upper failures, min margin 1.733e-03",
     6: "200 cases/property, failures {'level': 0, 'chain': 0, 'p-mono': 0, 'l2-identity': 0},"
     " max p=2 identity rel err 5.817e-16",
@@ -53,6 +53,22 @@ def test_criterion(cid):
     print(line)
     assert result.passed, line
     assert result.detail == PINNED_DETAILS[cid]
+
+
+def test_criterion_8_searches_on_one_lane(monkeypatch):
+    # its 37 searches of 10^4 trials form at most 4.8 * 10^5 floats each, under the 2^20 gate, so no
+    # search opens a pool (one would raise the peak memory of every acceptance run)
+    lanes = []
+    real_map = hanner._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(hanner, "_map", spy)
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    assert run_criterion(8, BASE_SEED).detail == PINNED_DETAILS[8]
+    assert lanes == [1] * 37
 
 
 def test_unknown_criterion_rejected():
@@ -178,16 +194,16 @@ def test_acceptance_output_is_independent_of_lane_count(monkeypatch, capsys, for
     assert len(forks) == 2 + 3  # a child per extra lane; the two-criterion subset has two lanes at most
 
 
-@pytest.mark.parametrize("budget", [255, 1244, 480_956, 100_000])
+@pytest.mark.parametrize("budget", [255, 1244, 642_205, 100_000])
 def test_refusals_are_independent_of_lane_count(monkeypatch, capsys, forks, budget):
     # each budget refuses some criteria of the suite (at 255 seven of them); the
-    # error is the one that the plain serial loop meets first.  480,956 is one
+    # error is the one that the plain serial loop meets first.  642,205 is one
     # float short of criterion 4's largest Monte Carlo count, which alone refuses
     monkeypatch.setenv("KHBM_BUDGET", str(budget))
     with pytest.raises(ValueError) as first:
         [run_criterion(cid, 0) for cid in criterion_ids()]
-    if budget == 480_956:
-        assert str(first.value) == "the Monte Carlo samples and largest block need 480957 floats, exceeding budget 480956"
+    if budget == 642_205:
+        assert str(first.value) == "the Monte Carlo samples and largest block need 642206 floats, exceeding budget 642205"
     got = {}
     for lanes in (1, 2):
         monkeypatch.setattr(functional, "_WORKERS", lanes)

@@ -334,7 +334,7 @@ def test_monte_carlo_refusal_is_usage_error(capsys, monkeypatch, vectors_csv):
     assert "floats, exceeding budget 1000" in err
 
 
-@pytest.mark.parametrize("norm, need", [("lp:1:2", 100_492), ("polytope:hex.csv", 215_492)])
+@pytest.mark.parametrize("norm, need", [("lp:1:2", 77_414), ("polytope:hex.csv", 192_414)])
 def test_monte_carlo_runs_under_the_budget_it_reports(capsys, monkeypatch, tmp_path, vectors_csv, norm, need):
     # Monte Carlo, the polytope facet build and the report envelope read the one KHBM_BUDGET:
     # one float short is refused naming it, and the least budget that runs is the one reported

@@ -15,10 +15,13 @@ from khbm.combinatorics import SubsetRatioInput, subset_power_ratio
 from khbm.distributions import SymmetricAtoms, rademacher
 from khbm.functional import (
     EnumerationBudgetError,
+    IpResult,
     VectorTuple,
-    _choice_map,
+    _draw_outcomes,
+    _guide,
     _ipf_exact_many,
     _law_support,
+    _sorted_support,
     check_argument_norm_axioms,
     check_barycenter_reduction,
     check_level_monotonicity,
@@ -29,7 +32,8 @@ from khbm.functional import (
     ipf_two_valued_exact,
     verify_theorem1,
 )
-from khbm.hanner import hanner_gap
+from khbm import hanner
+from khbm.hanner import falsify_hanner, hanner_gap
 from khbm.norms import LpNorm, PolytopeGauge, _sign_matrix, describe_norm, norm_eval, norm_eval_many
 
 
@@ -162,6 +166,48 @@ def test_stack_sizes_around_a_block_edge(monkeypatch, size):
     monkeypatch.setattr(functional, "norm_eval_many", spy)
     assert _ipf_exact_many(cases, norm) == want
     assert blocks == [10] * (size // 10) + [size % 10] * (size % 10 > 0)
+
+
+def row_layout_pth_power(rows, values, weights, p, norm):
+    """Reference: one tuple through the kernel's blocks with its sums in row layout, (1, step, unit_len, d)."""
+    n, k = rows.shape[0], len(values)
+    h = max(1, n // 2)
+    digits_a, mult = functional._half_table(k, h, True)
+    digits_b, _ = functional._half_table(k, n - h, False)
+    sums_a, sums_b = values[None].take(digits_a, -1) @ rows[None, :h], values[None].take(digits_b, -1) @ rows[None, h:]
+    w_a = weights[None].take(digits_a, -1).prod(axis=-1) * mult
+    w_b = weights[None].take(digits_b, -1).prod(axis=-1)[..., None, :]
+    units = sums_a.shape[1]
+    step = functional._block_rows(units, sums_b.shape[1])
+    parts = []
+    for i in range(0, units, step):
+        top, scaled = functional._scaled_powers(norm_eval_many(norm, sums_a[:, i : i + step, None] + sums_b[:, None]), w_b, p)
+        parts.append((top[0].tolist(), (w_a[..., i : i + step] * scaled)[0].tolist()))
+    pth, value = functional._pth_and_value(*functional._fold_blocks(parts, p), p)
+    return IpResult(value=value, pth_power=pth, method="exact", stderr=None, terms_evaluated=k**n)
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_exact_planes_bitwise_equal_row_layout(monkeypatch, chunk, d):
+    # the kernel's coordinate-plane blocks against the same blocks in row layout: the adds, the column order
+    # of the norm and every later step are the same, so no bit moves; at d = 8 the norm's row sums are
+    # pairwise, which numpy takes only along a contiguous axis.  At chunk 16 a tuple spans several blocks
+    if chunk is not None:
+        monkeypatch.setattr(functional, "_CHUNK", chunk)
+    rng = np.random.default_rng(40 + d)
+    norms = [LpNorm(r, d) for r in _EXPONENTS] + ([_HEXAGON] if d == 2 else [])
+    for norm in norms:
+        for n in (1, 2, 5, 7):
+            stacks = {}  # the kernel's stacks: one support size and p each
+            for v, f, p in _stack_cases(rng, n, d, 8):
+                stacks.setdefault((len(_sorted_support(f)[0]), p), []).append((v, f))
+            for (_, p), stack in stacks.items():
+                rows = np.stack([v for v, _ in stack])
+                values, weights = (np.stack([_sorted_support(f)[j] for _, f in stack]) for j in (0, 1))
+                got = functional._enumerate_pth_power(rows, values, weights, p, norm, default_budget())
+                want = [row_layout_pth_power(v, *_sorted_support(f), p, norm) for v, f in stack]
+                assert got == want  # bitwise
 
 
 def test_stack_refusal_names_the_first_refused_case(monkeypatch):
@@ -433,17 +479,47 @@ def test_monte_carlo_deterministic_per_seed():
     assert a.method == "monte_carlo"
 
 
-def choice_monte_carlo(v, f, p, norm, samples, seed):
-    """Reference: one rng.choice draw of every index, one product, one norm call."""
+def mc_groups(n, k, samples):
+    """Monte Carlo's group size g and group count q for n rows and k support values."""
+    g = 1
+    while g < n and k ** (g + 1) <= min(functional._MC_OUTCOMES, samples):
+        g += 1
+    return g, -(-n // g)
+
+
+def group_sums(v, f, samples, seed):
+    """Reference: every sample's vector sum from one draw of all its group uniforms.
+
+    Each group's k^m outcomes (first row slowest) get the product of their
+    masses and their partial sum, one matrix product; each uniform becomes
+    the outcome at searchsorted(cdf, u, side="right"), as choice maps it,
+    and the groups' partial sums add in group order.
+    """
     values, weights = _law_support(f)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.choice(len(values), size=(samples, len(v)), p=weights)
-    norms = norm_eval_many(norm, values[idx] @ v)
+    n, k = len(v), len(values)
+    g, q = mc_groups(n, k, samples)
+    u = np.random.Generator(np.random.PCG64(seed)).random((samples, q))
+    sums = None
+    for j, lo in enumerate(range(0, n, g)):
+        digits = np.array(list(itertools.product(range(k), repeat=len(v[lo : lo + g]))))
+        cdf = weights[digits].prod(axis=1).cumsum()
+        cdf /= cdf[-1]
+        part = (values[digits] @ v[lo : lo + g])[cdf.searchsorted(u[:, j], side="right")]
+        sums = part if sums is None else sums + part
+    return sums
+
+
+def group_monte_carlo(v, f, p, norm, samples, seed):
+    """Reference: ``group_sums``, one norm call, and numpy's sums of the moments over ranges of _MC_SUMS."""
+    norms = norm_eval_many(norm, group_sums(v, f, samples, seed))
     peak = float(norms.max())
     scaled = (norms / peak) ** p if peak > 0.0 else norms
-    mean, value = functional._pth_and_value(peak, float(scaled.mean()), p)
-    stderr, _ = functional._pth_and_value(peak, float(scaled.std(ddof=1) / math.sqrt(samples)), p)
-    return value, mean, stderr
+    ranges = range(0, samples, functional._MC_SUMS)
+    mean = math.fsum(float(scaled[lo : lo + functional._MC_SUMS].sum()) for lo in ranges) / samples
+    squares = math.fsum(float(((scaled[lo : lo + functional._MC_SUMS] - mean) ** 2).sum()) for lo in ranges)
+    value_pth, value = functional._pth_and_value(peak, mean, p)
+    stderr, _ = functional._pth_and_value(peak, math.sqrt(squares / (samples - 1)) / math.sqrt(samples), p)
+    return value, value_pth, stderr
 
 
 @pytest.mark.parametrize(
@@ -468,85 +544,129 @@ def test_law_support_is_the_monte_carlo_draw_order(law, values, weights):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("block_rows", [None, 1 << 16])
 def test_monte_carlo_blocks_bitwise_equal_one_draw(monkeypatch, samples, n, d, block_rows):
-    # numpy multiplies by one column (d = 1) through BLAS's matrix-vector path, by three through matrix-matrix;
-    # blocks of 2^16 rows put the sample counts at, just past and one past twice a block edge
+    # one group (n = 3), two (n = 10) and three (n = 14) of five support values; blocks of 2^16
+    # samples put the sample counts at, just past and one past twice a block edge
     if block_rows is not None:
-        monkeypatch.setattr(functional, "_MC_BLOCK", block_rows * n)
+        monkeypatch.setattr(functional, "_MC_BLOCK", block_rows * max(mc_groups(n, 5, samples)[1], 2))
     rng = np.random.default_rng(samples + n)
     v = rng.standard_normal((n, d))
     f = SymmetricAtoms(((2.0, 0.125), (1.0, 0.25)))
     res = ipf_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples=samples, seed=n)
-    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples, n)
+    assert (res.value, res.pth_power, res.stderr) == group_monte_carlo(v, f, 3.0, LpNorm(1.0, d), samples, n)
 
 
 @pytest.mark.parametrize("samples", [2, 3, 4, 7, 8, 101])
 def test_monte_carlo_two_row_blocks_bitwise_equal_one_draw(monkeypatch, samples):
-    # the smallest blocks, two rows, with and without a one-row tail to merge;
-    # every drawn vector sum must equal the one-draw product's row
-    monkeypatch.setattr(functional, "_MC_BLOCK", 2 * 10)
+    # the smallest blocks, two samples, with and without a one-sample tail; every
+    # drawn vector sum must equal the one-draw reference's row
+    f = SymmetricAtoms(((3.0, 0.0625), (2.0, 0.125), (1.0, 0.25)))
+    monkeypatch.setattr(functional, "_MC_BLOCK", 2 * max(mc_groups(10, 7, samples)[1], 2))
     blocks = []
 
     def spy(norm, pts):
-        blocks.append(pts)
+        blocks.append(pts.copy())  # pts are the lane's sum planes, which the next block overwrites
         return norm_eval_many(norm, pts)
 
     monkeypatch.setattr(functional, "norm_eval_many", spy)
     v = np.random.default_rng(samples).standard_normal((10, 3))
-    f = SymmetricAtoms(((3.0, 0.0625), (2.0, 0.125), (1.0, 0.25)))
     res = ipf_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples=samples, seed=7)
-    assert min(len(b) for b in blocks) >= 2
-    values, weights = _law_support(f)
-    idx = np.random.Generator(np.random.PCG64(7)).choice(len(values), size=(samples, 10), p=weights)
-    assert np.concatenate(blocks).tobytes() == (values[idx] @ v).tobytes()
-    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples, 7)
+    assert [len(b) for b in blocks] == [2] * (samples // 2) + [1] * (samples % 2)
+    assert np.concatenate(blocks).tobytes() == group_sums(v, f, samples, 7).tobytes()
+    assert (res.value, res.pth_power, res.stderr) == group_monte_carlo(v, f, 1.5, LpNorm(1.5, 3), samples, 7)
 
 
-# laws for the guide table: dyadic (no bucket holds a cdf point), non-dyadic
-# (some do), a tiny mass (two cdf points inside one bucket), more than 2,048
-# atoms (nearly every bucket does) and the zero law
+# laws for the guide table: dyadic (every cdf point on a bucket edge), non-dyadic
+# (some inside a bucket), a tiny mass (two cdf points inside one bucket), more
+# than 2,048 atoms (one group a row, 4,201 outcomes) and the zero law (one outcome)
 GUIDE_LAWS = {
     "dyadic": SymmetricAtoms(((2.0, 0.125), (1.0, 0.25))),
     "non-dyadic": SymmetricAtoms(((1.0, 0.3), (0.5, 0.1))),
     "tiny-mass": SymmetricAtoms(((1.0, 1e-300), (0.25, 1.0 / 3.0))),
     "many-atoms": SymmetricAtoms(tuple((float(2100 - i), 1.0 / 4207.0) for i in range(2100))),
     "zero": SymmetricAtoms(()),
+    "fair": rademacher(),
 }
+
+
+# the group sizes each law is checked at: 1 to 4,201 outcomes
+GUIDE_GROUPS = {"dyadic": (1, 5), "non-dyadic": (1, 5), "tiny-mass": (1, 2), "many-atoms": (1,), "zero": (1, 7), "fair": (12,)}
 
 
 @pytest.mark.parametrize("law", GUIDE_LAWS, ids=str)
 def test_choice_map_matches_searchsorted_at_every_edge(law):
-    # uniforms on every bucket edge and every cdf value, and one ulp either
-    # side of each, map to the value at searchsorted(side="right")
+    # a group of m rows: its k^m outcomes and their product masses, as Monte Carlo builds
+    # them.  Uniforms on every bucket edge and every cdf value, and one ulp either side
+    # of each, map to searchsorted(side="right"), as Generator.choice maps them
     values, weights = _law_support(GUIDE_LAWS[law])
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    points = np.concatenate([np.arange(functional._MC_TABLE) / functional._MC_TABLE, cdf])
-    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
-    u = np.ascontiguousarray(u[(u >= 0.0) & (u < 1.0)])
-    want = values[cdf.searchsorted(u, side="right")]
-    got = _choice_map(values, cdf, u.size)(u.copy())
-    assert got.tobytes() == want.tobytes()
+    for m in GUIDE_GROUPS[law]:
+        digits = np.array(list(itertools.product(range(len(values)), repeat=m)))
+        cdf = weights[digits].prod(axis=1).cumsum()
+        cdf /= cdf[-1]
+        guide = _guide(cdf)
+        size = guide[1]
+        assert size & (size - 1) == 0 and size >= max(functional._MC_TABLE, 16 * len(cdf))
+        assert (guide[3] is None) == (law in ("dyadic", "zero", "fair"))  # dyadic masses: every cdf point on an edge
+        points = np.concatenate([np.arange(size) / size, cdf])
+        u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        u = np.ascontiguousarray(u[(u >= 0.0) & (u < 1.0)])
+        got = _draw_outcomes(u, guide, np.empty(u.size, np.intp), np.empty(u.size, np.intp))
+        assert got.tolist() == cdf.searchsorted(u, side="right").tolist()
 
 
 @pytest.mark.parametrize("law", ["non-dyadic", "many-atoms", "zero"])
 def test_monte_carlo_guide_table_bitwise_equal_one_draw(monkeypatch, law):
-    # searched buckets across several blocks and several fallback slices
-    monkeypatch.setattr(functional, "_MC_BLOCK", 1 << 16)
+    # searched buckets across several blocks
+    monkeypatch.setattr(functional, "_MC_BLOCK", 1 << 14)
     v = np.random.default_rng(4).standard_normal((5, 3))
     f = GUIDE_LAWS[law]
     res = ipf_monte_carlo(v, f, 2.5, LpNorm(3.0, 3), samples=30_001, seed=9)
-    assert (res.value, res.pth_power, res.stderr) == choice_monte_carlo(v, f, 2.5, LpNorm(3.0, 3), 30_001, 9)
+    assert (res.value, res.pth_power, res.stderr) == group_monte_carlo(v, f, 2.5, LpNorm(3.0, 3), 30_001, 9)
+
+
+# laws of 1 to 4 atoms, dyadic and not, with a zero atom and without
+_Z_LAWS = [
+    rademacher(),
+    SymmetricAtoms(((1.3, 0.2),)),
+    SymmetricAtoms(((2.0, 0.25), (0.7, 0.25))),
+    SymmetricAtoms(((2.0, 0.125), (1.0, 0.25))),
+    SymmetricAtoms(((3.0, 0.05), (2.0, 0.1), (1.0, 0.15), (0.5, 0.1))),
+]
+
+
+def test_monte_carlo_z_scores_against_exact():
+    # each law at n = 1, 3, 7 and 12 (where k^n stays under 10^7), in l^1, l^2 and l^inf:
+    # (Monte Carlo - exact) / stderr over the cases is about standard normal.  A case whose
+    # samples all have one norm (stderr 0) must hit the exact value
+    rng = np.random.default_rng(27)
+    z = []
+    for f in _Z_LAWS:
+        for n in (1, 3, 7, 12):
+            if len(_law_support(f)[0]) ** n > 10**7:
+                continue
+            v = rng.standard_normal((n, 3))
+            for r in (1.0, 2.0, math.inf):
+                p = float(rng.choice([1.0, 2.0, 3.0]))
+                exact = ipf_exact(v, f, p, LpNorm(r, 3)).pth_power
+                mc = ipf_monte_carlo(v, f, p, LpNorm(r, 3), samples=20_000, seed=int(rng.integers(2**31)))
+                if mc.stderr == 0.0:
+                    assert tol.close(mc.pth_power, exact)
+                    continue
+                z.append((mc.pth_power - exact) / mc.stderr)
+    z = np.array(z)
+    assert len(z) >= 40
+    assert abs(z.mean()) < 0.5 and 0.7 < z.std() < 1.3 and np.abs(z).max() < 4.0
 
 
 def test_monte_carlo_memory_guard(monkeypatch):
-    # the stored samples and what the largest block and its map hold are
-    # counted against the budget before the first draw
+    # the stored samples, the group tables and what the largest block holds
+    # are counted against the budget before the first draw
     monkeypatch.setenv("KHBM_BUDGET", str(10**5))
-    with pytest.raises(EnumerationBudgetError, match="need 515407 floats"):
+    with pytest.raises(EnumerationBudgetError, match="need 408952 floats"):
         ipf_monte_carlo(np.eye(2), rademacher(), 2.0, LpNorm(2.0, 2), samples=200_000, seed=0)
-    # a wide n: 1000 samples fit the budget, but one block of 164 rows of 400 draws does not
+    # a wide n: 1000 samples fit the budget, but not with their 45 groups of 2^9 outcomes (or fewer)
+    # and a block of 728 samples of 45 uniforms; 30 samples take 100 groups of 2^4
     wide = np.ones((400, 2))
-    with pytest.raises(EnumerationBudgetError, match="need 153444 floats, exceeding budget 100000"):
+    with pytest.raises(EnumerationBudgetError, match="need 141896 floats, exceeding budget 100000"):
         ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=1000, seed=0)
     assert ipf_monte_carlo(wide, rademacher(), 2.0, LpNorm(2.0, 2), samples=30, seed=0).terms_evaluated == 30
 
@@ -561,31 +681,38 @@ _HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -
     ids=lambda x: describe_norm(x) if hasattr(x, "dim") else f"n{x}",
 )
 def test_monte_carlo_memory_stays_within_its_count(monkeypatch, samples, n, norm):
-    # the traced peak is at most the stored samples plus, per block in flight, the
-    # rest of the count; 120,000 samples of n = 10 cross the 2^20 gate and take two lanes
-    counts, lanes = [], []
-    real_map = functional._map
+    # the traced peak is at most what the count holds for the whole call (the stored samples and the
+    # group tables) plus, per block in flight, the rest of the count; 120,000 samples of n = 10 (three
+    # groups, of seven support values to a row) cross the 2^20 gate and take two lanes
+    counts, lanes, per_lane = [], [], []
+    real_map, real_lanes = functional._map, functional._lanes
 
     def spy(fn, blocks, n_lanes):
         lanes.append(n_lanes)
         return real_map(fn, blocks, n_lanes)
 
+    def lanes_spy(blocks, terms, floats, budget):
+        per_lane.append(floats)
+        return real_lanes(blocks, terms, floats, budget)
+
     monkeypatch.setattr(functional, "_check_floats", lambda floats, budget, what: counts.append(floats))
     monkeypatch.setattr(functional, "_map", spy)
+    monkeypatch.setattr(functional, "_lanes", lanes_spy)
     monkeypatch.setattr(functional, "_WORKERS", 2)
     v = np.random.default_rng(n).standard_normal((n, norm.dim))
-    f = GUIDE_LAWS["non-dyadic"]  # some buckets are searched
+    f = SymmetricAtoms(((1.0, 0.3), (0.5, 0.1), (0.2, 0.05)))  # non-dyadic: some buckets are searched
     ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)  # numpy's caches come first
     counts.clear()
     lanes.clear()
+    per_lane.clear()
     tracemalloc.start()
     try:
         ipf_monte_carlo(v, f, 2.5, norm, samples=samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lanes == [2 if samples * n >= functional._PARALLEL else 1]
-    assert peak <= 8 * (samples + lanes[0] * (counts[0] - samples))
+    assert lanes[0] == (2 if (n, samples) == (10, 120_000) else 1)
+    assert peak <= 8 * (counts[0] + (lanes[0] - 1) * per_lane[0])
 
 
 def traced_count(monkeypatch, module, call):
@@ -661,13 +788,22 @@ def test_two_valued_holds_no_sign_table_after_its_call():
 @pytest.mark.parametrize("size", [2, 7, 8, 9, 127, 128, 129, 10**6])
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
 def test_scaled_moments_are_numpys_mean_and_std(size, p):
-    # p = 2 takes numpy's square path in both; a zero array has peak 0 and is left unscaled
+    # up to _MC_SUMS entries the bits are those of numpy's mean and std; past it, of numpy's sums over
+    # each range of _MC_SUMS added by fsum; on one lane or two alike.  p = 2 takes numpy's square path
+    # in both; a zero array has peak 0 and is left unscaled
     x = np.abs(np.random.default_rng(size).standard_normal(size)) * 1e3
     for arr in (x, np.zeros(size)):
         peak = float(arr.max())
         scaled = (arr / peak) ** p if peak > 0.0 else arr
-        want = (peak, float(scaled.mean()), float(scaled.std(ddof=1)))
-        assert functional._scaled_moments(arr.copy(), p) == want  # bitwise
+        if size <= functional._MC_SUMS:
+            want = (peak, float(scaled.mean()), float(scaled.std(ddof=1)))
+        else:
+            parts = [scaled[lo : lo + functional._MC_SUMS] for lo in range(0, size, functional._MC_SUMS)]
+            mean = math.fsum(float(part.sum()) for part in parts) / size
+            squares = math.fsum(float(((part - mean) ** 2).sum()) for part in parts)
+            want = (peak, mean, math.sqrt(squares / (size - 1)))
+        for lanes in (1, 2):
+            assert functional._scaled_moments(arr.copy(), p, lanes) == want  # bitwise
 
 
 def test_subsets_are_the_combinations_in_colex_order():
@@ -681,21 +817,24 @@ def test_subsets_are_the_combinations_in_colex_order():
             ]
 
 
-# inputs of every route above the 2^20-term gate, in several blocks; the
-# Monte Carlo law is non-dyadic, so some of its guide-table buckets are searched
-_V20, _V13, _V3 = (np.random.default_rng(31 + n).standard_normal((n, 3 if n < 20 else 2)) for n in (20, 13, 3))
+# inputs of every route above the 2^20-term gate, in several blocks; the Monte Carlo
+# law is non-dyadic, so some of its guide-table buckets are searched, and its seven
+# rows make two groups, of five rows and of two, each with its own guide table.  The
+# falsifier's first violation lies at trial 28,870, in the eighth of its 20 batches
+_V20, _V13, _V7 = (np.random.default_rng(31 + n).standard_normal((n, 3 if n < 20 else 2)) for n in (20, 13, 7))
 _MC_LAW = SymmetricAtoms(((1.0, 0.3), (0.5, 0.1)))
 
 
 def _parallel_outputs(monkeypatch):
-    # 50,000-row Monte Carlo blocks of n = 3: block starts lo * 3 leave every remainder mod 4,
-    # and 350,001 samples end in a one-row tail that joins the block before it
-    monkeypatch.setattr(functional, "_MC_BLOCK", 3 * 50_000)
+    # 50,000-sample Monte Carlo blocks of two uniforms a sample: 350,001 samples end in a one-sample block
+    monkeypatch.setattr(functional, "_MC_BLOCK", 2 * 50_000)
+    hit = falsify_hanner(LpNorm(3.0, 2), q=1.1, n=3, d=2, mode="cotype", trials=80_000, seed=0)
     return (
         ipf_exact(_V20, rademacher(), 3.0, LpNorm(1.5, 2)),
         hanner_gap(LpNorm(3.0, 2), _V20, 1.5),
         ipf_two_valued_exact(_V13, 0.25, 2.5, LpNorm(math.inf, 3)),
-        ipf_monte_carlo(_V3, _MC_LAW, 2.5, LpNorm(3.0, 3), samples=350_001, seed=5),
+        ipf_monte_carlo(_V7, _MC_LAW, 2.5, LpNorm(3.0, 3), samples=350_001, seed=5),
+        (hit.trial_index, hit.violation, hit.gap, hit.witness.rows.tobytes()),
     )
 
 
@@ -709,18 +848,21 @@ def test_outputs_do_not_depend_on_worker_count(monkeypatch, workers):
         return real_map(fn, blocks, n_lanes)
 
     monkeypatch.setattr(functional, "_map", spy)
+    monkeypatch.setattr(hanner, "_map", spy)
     monkeypatch.setattr(functional, "_WORKERS", 1)
     base = _parallel_outputs(monkeypatch)
-    assert set(lanes) == {1}
+    assert set(lanes) == {1} and base[-1][0] == 28_870
     lanes.clear()
     monkeypatch.setattr(functional, "_WORKERS", workers)
     assert _parallel_outputs(monkeypatch) == base  # bitwise
-    assert len(lanes) == 5 and set(lanes) == {workers}  # hanner_gap makes two kernel calls
+    # hanner_gap makes two kernel calls, Monte Carlo one for its draws and two for its moments
+    assert len(lanes) == 8 and set(lanes) == {workers}
 
 
 def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
-    # more lanes than cores, forced to interleave: a lost result slot, a shared
-    # uniforms buffer or a shared bucket buffer would change the outputs
+    # more lanes than cores, forced to interleave: a lost result slot, a shared uniforms or
+    # bucket buffer, a generator shared by two lanes or a falsifier batch drawn out of
+    # turn would change the outputs
     monkeypatch.setattr(functional, "_WORKERS", 1)
     base = _parallel_outputs(monkeypatch)
     monkeypatch.setattr(functional, "_WORKERS", functional._MAX_WORKERS)
@@ -734,10 +876,10 @@ def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
 
 
 def test_parallel_monte_carlo_is_one_draw(monkeypatch):
-    # per-block PCG64 streams, advanced past the uniforms before each block, are the one stream
+    # per-lane PCG64 generators, advanced past the uniforms before each block, are the one stream
     monkeypatch.setattr(functional, "_WORKERS", 2)
-    *_, res = _parallel_outputs(monkeypatch)
-    want = choice_monte_carlo(_V3, _MC_LAW, 2.5, LpNorm(3.0, 3), 350_001, 5)
+    res = _parallel_outputs(monkeypatch)[3]
+    want = group_monte_carlo(_V7, _MC_LAW, 2.5, LpNorm(3.0, 3), 350_001, 5)
     assert (res.value, res.pth_power, res.stderr) == want
 
 

@@ -1,12 +1,13 @@
 import gc
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from khbm import hanner, norms
+from khbm import functional, hanner, norms
 from khbm import tolerances as tol
 from khbm.functional import EnumerationBudgetError
 from khbm.hanner import falsify_hanner, hanner_gap, hlawka_check
@@ -85,8 +86,8 @@ def test_falsifier_deterministic():
 
 
 def test_falsifier_pinned_witness():
-    # first violation lies in the third batch of draws, so the pinned
-    # values also fix how the gaussian stream is split into batches
+    # the first violation lies in the first batch (4,096 trials at n = 3);
+    # the search stays on one lane, under the gate
     hit = falsify_hanner(LpNorm(3.0, 2), q=1.2, n=3, d=2, mode="cotype", trials=3000, seed=11)
     assert hit is not None
     assert hit.trial_index == 550
@@ -109,20 +110,28 @@ def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
     # the stacked product signs @ batch, against an in-test einsum over the
     # same batches: bitwise for d >= 2; at d = 1 numpy takes a matrix-vector
     # path that sums in another order, so the two agree within the
-    # recursive-summation bound (n - 1) eps sum_i |x_i|
-    sums = []
+    # recursive-summation bound (n - 1) eps sum_i |x_i|.  At n = 12 the
+    # batches run on two lanes, so each batch's sums are keyed by its start
+    sums, batch = {}, threading.local()
+    real_scan = hanner._scan
+
+    def scan_spy(signs, draws, norm, q, mode, start):
+        batch.start = start
+        return real_scan(signs, draws, norm, q, mode, start)
 
     def spy(norm, pts):
         if pts.ndim == 3:
-            sums.append(pts)
+            sums[batch.start] = pts
         return norm_eval_many(norm, pts)
 
+    monkeypatch.setattr(hanner, "_scan", scan_spy)
     monkeypatch.setattr(hanner, "norm_eval_many", spy)
     trials = 300  # one batch up to n = 7; at n = 8 and 12, batches of 2^14 sign rows and a shorter tail
     assert falsify_hanner(LpNorm(2.0, d), q=2.0, n=n, d=d, mode="type", trials=trials, seed=n + d) is None
     rng = np.random.default_rng(n + d)
     signs = np.hstack([np.ones((1 << (n - 1), 1)), _sign_matrix(n - 1)])  # eps_1 = +1, built apart
-    for got in sums:
+    for start in sorted(sums):
+        got = sums[start]
         batch = rng.standard_normal((got.shape[0], n, d))
         want = np.einsum("pn,bnd->bpd", signs, batch)
         if d >= 2:
@@ -130,7 +139,59 @@ def test_falsifier_sign_sums_match_einsum(monkeypatch, n, d):
         else:
             bound = (n - 1) * np.finfo(float).eps * np.abs(batch).sum(axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= bound)
-    assert sum(len(got) for got in sums) == trials
+    assert sum(len(got) for got in sums.values()) == trials
+
+
+# a violation first at trial 28,870 of 80,000 (the eighth of 20 batches), and a
+# trial whose sign sums leave the double range first at trial 64,425 of 200,000
+# (the eighth of 24); both searches cross the gate and run on the lanes
+_LATE_HIT = dict(norm=LpNorm(3.0, 2), q=1.1, n=3, d=2, mode="cotype", trials=80_000, seed=0)
+_LATE_OVERFLOW = dict(norm=LpNorm(2.0, 2), q=345.0, n=2, d=2, mode="type", trials=200_000, seed=0)
+
+
+def _lane_counts(monkeypatch):
+    lanes = []
+    real_map = hanner._map
+
+    def spy(fn, blocks, n_lanes):
+        lanes.append(n_lanes)
+        return real_map(fn, blocks, n_lanes)
+
+    monkeypatch.setattr(hanner, "_map", spy)
+    return lanes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_falsifier_first_hit_does_not_depend_on_lanes(monkeypatch, workers):
+    lanes = _lane_counts(monkeypatch)
+    monkeypatch.setattr(functional, "_WORKERS", workers)
+    hit = falsify_hanner(**_LATE_HIT)
+    assert (hit.trial_index, hit.violation, hit.gap) == (28_870, 5.398111156735175e-05, -0.000984697153604941)
+    monkeypatch.setattr(functional, "_WORKERS", 1)
+    assert hit.witness.rows.tobytes() == falsify_hanner(**_LATE_HIT).witness.rows.tobytes()
+    monkeypatch.setattr(functional, "_WORKERS", workers)
+    with pytest.raises(ValueError, match=r"^the sign sums at q = 345\.0 leave the double range$"):
+        falsify_hanner(**_LATE_OVERFLOW)
+    assert lanes == [workers, 1, workers]
+
+
+def test_falsifier_stops_starting_batches_after_a_hit(monkeypatch):
+    # the planar l^1 type violation comes at trial 0 of 200,000 (25 batches): batch 0 holds it,
+    # and each extra lane may have started one batch before the hit was known
+    starts = []
+    real_scan = hanner._scan
+
+    def scan_spy(signs, draws, norm, q, mode, start):
+        starts.append(start)
+        return real_scan(signs, draws, norm, q, mode, start)
+
+    lanes = _lane_counts(monkeypatch)
+    monkeypatch.setattr(hanner, "_scan", scan_spy)
+    monkeypatch.setattr(functional, "_WORKERS", 3)
+    hit = falsify_hanner(LpNorm(1.0, 2), q=1.0, n=2, d=2, mode="type", trials=200_000, seed=0)
+    assert hit.trial_index == 0 and lanes == [3]
+    assert 0 in starts and len(starts) <= 3
 
 
 _HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0], [0.5, -1.0], [-0.5, 1.0]]))
@@ -139,16 +200,20 @@ _HEXAGON = PolytopeGauge(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -
 @pytest.mark.parametrize("norm", [LpNorm(2.0, 3), LpNorm(3.0, 3), _HEXAGON], ids=describe_norm)
 @pytest.mark.parametrize("n", [4, 10, 16])
 def test_falsifier_memory_stays_within_its_count(monkeypatch, n, norm):
-    # the count holds the sign table as built, the norm's temporaries and the powered sides
-    # of the largest batch; at n = 16 the table is built in the call, past the cache
+    # the count holds the sign table as built (at n = 16 past the cache, so built in the call)
+    # and the draws, the norm's temporaries and the powered sides
+    # of the largest batch, per batch in flight; at n = 10 and 16 the search crosses the gate and takes two lanes
     counts = []
     monkeypatch.setattr(hanner, "_check_floats", lambda floats, budget, what: counts.append(floats))
+    monkeypatch.setattr(functional, "_WORKERS", 2)
+    lanes = _lane_counts(monkeypatch)
 
     def search():
         return falsify_hanner(norm, q=3.0, n=n, d=norm.dim, mode="type", trials=4000 if n < 16 else 40, seed=n)
 
     search()  # numpy's caches come first, but no sign table: a first call must stay within its count too
     counts.clear()
+    lanes.clear()
     norms._cached_signs.cache_clear()
     tracemalloc.start()
     try:
@@ -156,7 +221,9 @@ def test_falsifier_memory_stays_within_its_count(monkeypatch, n, norm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * counts[0]
+    table = norms._sign_floats(n, True)
+    assert lanes == [1 if n == 4 else 2]
+    assert peak <= 8 * (table + lanes[0] * (counts[0] - table))
 
 
 def test_falsifier_holds_no_sign_table_after_its_call():
