@@ -117,26 +117,27 @@ loops and BLAS calls, so the blocks overlap.  Smaller calls, such as
 every call of the acceptance criteria and ``bm`` reports, start no
 thread.  The bits cannot depend on the worker count: block edges
 depend on the input alone; each exact block's pairs go through ``_fold``,
-whose maximum and exactly rounded ``math.fsum`` ignore their order; each
-Monte Carlo lane keeps one PCG64 generator, which it jumps ahead to each
-of its blocks by ``advance`` (one 64-bit output a uniform, in O(log)
-steps), continuing the one stream exactly (O'Neill, "PCG: A family of
-simple fast space-efficient statistically good algorithms for random
-number generation", 2014); and the moments' ranges are fixed, their sums
-added by ``math.fsum``.  Each lane writes only its own buffers and its
-blocks' slice of the stored norms, and results are gathered by block.
-No more blocks run at once than the budget holds copies of the counted
-block, and a call the budget refuses is refused before any thread starts.
+whose maximum and exactly rounded ``math.fsum`` ignore their order;
+Monte Carlo's blocks are a stream that ``_map`` takes one at a time and
+in order, and each block's uniforms are drawn from the one generator as
+it is taken, so they are those of one loop over the blocks; and the
+moments' ranges are fixed, their sums added by ``math.fsum``.  A block
+makes its own temporaries and writes only its slice of the stored norms,
+and results are gathered by block.  A lane lets go of its block before it
+takes the next, so no more blocks are alive than there are lanes, and no
+more lanes run than the budget holds copies of the counted block; a call
+the budget refuses is refused before any thread starts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -172,7 +173,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # terms per block: each (block, d) temporary stays at a few MB
-_MC_BLOCK = 1 << 15  # uniforms per Monte Carlo block, of 2^14 samples at most: a lane's buffers stay near 1.5 MB
+_MC_BLOCK = 1 << 15  # uniforms per Monte Carlo block, of 2^14 samples at most: a block's arrays stay near 1.5 MB
 _MC_OUTCOMES = 1 << 12  # joint outcomes a Monte Carlo coordinate group tabulates at most
 _MC_TABLE = 1 << 12  # guide-table buckets at least: a power of two, so u * B is exact
 _MC_SUMS = 1 << 16  # samples a sum of the mean or the deviations covers; fsum adds them, whatever the lanes
@@ -308,30 +309,33 @@ def _lanes(blocks: int, terms: int, floats: int, budget: int) -> int:
     return max(1, min(_WORKERS, blocks, budget // floats))
 
 
-def _map(fn: Callable, blocks: Sequence, lanes: int) -> list:
+def _map(fn: Callable, blocks: Iterable, lanes: int) -> list:
     """``[fn(b) for b in blocks]``, by ``lanes`` threads taking blocks in turn.
 
-    The calling thread is one lane, and the threads of a pool opened for
-    this call are the others; the pool is shut down, its threads joined,
-    before the call returns, so no thread outlives it.  A block's result
-    depends on the block alone, so the list is the same however the
-    blocks are shared out.  Every lane ends before an error from any of
-    them is raised.
+    The lanes take the blocks one at a time and in order, under one lock,
+    so a lazy stream is consumed as one loop would consume it; a lane lets
+    go of its block before it takes the next, so at most ``lanes`` blocks
+    are alive, the one being made included.  The calling thread is one
+    lane, and the threads of a pool opened for this call are the others;
+    the pool is shut down, its threads joined, before the call returns.
+    Results are gathered by block index.  Every lane ends before an error
+    from any of them, or from the stream, is raised.
     """
     if lanes < 2:
-        return [fn(b) for b in blocks]
+        return list(map(fn, blocks))  # map lets go of each block before it takes the next
     from concurrent.futures import ThreadPoolExecutor  # imported here: calls below _PARALLEL never load it
 
-    out = [None] * len(blocks)
-    todo, lock = iter(range(len(blocks))), threading.Lock()
+    # a count, not enumerate: enumerate's reused result tuple keeps the last block alive while the next is made
+    out, todo, index, lock = {}, iter(blocks), itertools.count(), threading.Lock()
 
-    def take():
-        with lock:
-            return next(todo, None)
-
-    def lane():
-        for i in iter(take, None):
-            out[i] = fn(blocks[i])
+    def lane() -> None:
+        while True:
+            with lock:
+                block, i = next(todo, out), next(index)
+            if block is out:  # the stream is spent
+                return
+            out[i] = fn(block)
+            del block  # before the stream makes the next one
 
     with ThreadPoolExecutor(lanes - 1, thread_name_prefix="khbm") as pool:
         futures = [pool.submit(lane) for _ in range(lanes - 1)]
@@ -339,7 +343,7 @@ def _map(fn: Callable, blocks: Sequence, lanes: int) -> list:
     for error in [f.exception() for f in futures]:
         if error is not None:
             raise error
-    return out
+    return [out[i] for i in range(len(out))]
 
 
 @lru_cache(maxsize=64)
@@ -672,7 +676,6 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     q = -(-n // g)
     sizes = {g, n - (q - 1) * g}
     step = max(1, min(samples, _MC_BLOCK // max(q, 2)))
-    blocks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
     # the stored samples and the group tables (each group's sum planes; per group size its cdf and guide,
     # and what building them holds); per block in flight its uniforms, buckets, outcomes, sum planes and one
     # plane of lookups, the split buckets' search, the norm's temporaries and result
@@ -680,7 +683,7 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
     held = samples + q * d * k**g + sum(k**m * (3 * m + d + 4) + 3 * _buckets(k**m) for m in sizes)
     lane_floats = step * (q + d + 6) + _eval_floats(norm, step)
     _check_floats(held + lane_floats, budget, "the Monte Carlo samples and largest block")
-    lanes = _lanes(len(blocks), samples * q * (d + 1), lane_floats, budget - held)
+    lanes = _lanes(-(-samples // step), samples * q * (d + 1), lane_floats, budget - held)
     guides = {}
     for m in sizes:
         # the k^m joint outcomes of m rows, the first row varying slowest, and their normalized cdf
@@ -693,24 +696,20 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
         outcomes, guide = guides[min(g, n - lo)]
         groups.append(((outcomes @ rows[lo : lo + g]).T.copy(), guide))  # the group's partial sums, d planes
     norms = np.empty(samples)
-    local = threading.local()
+    gen = np.random.Generator(np.random.PCG64(seed))
 
-    def draw_block(lo_hi: tuple[int, int]) -> None:
-        # a lane keeps one generator, advanced past the uniforms of the blocks before each of its own (it takes
-        # them in order), and one set of buffers
-        lo, hi = lo_hi
-        m = hi - lo
-        if not hasattr(local, "bits"):
-            local.bits, local.at = np.random.PCG64(seed), 0
-            local.gen = np.random.Generator(local.bits)
-            local.u, local.acc = np.empty((step, q)), np.empty((d, step))
-            local.bucket, local.index = np.empty(step, np.intp), np.empty(step, np.intp)
-        local.bits.advance(lo * q - local.at)  # one 64-bit output a uniform, q a sample
-        local.at = hi * q
-        u, acc, bucket = local.gen.random(out=local.u[:m]), local.acc[:, :m], local.bucket[:m]
+    def stream():
+        # the blocks' uniforms, drawn in block order as the lanes take them: q a sample, sample-major
+        for lo in range(0, samples, step):
+            hi = min(lo + step, samples)
+            yield lo, hi, gen.random((hi - lo, q))
+
+    def draw_block(block: tuple[int, int, np.ndarray]) -> None:
+        lo, hi, u = block
+        acc, bucket, index = np.empty((d, hi - lo)), np.empty(hi - lo, np.intp), np.empty(hi - lo, np.intp)
         look = bucket.view(np.float64)  # a group's looked-up sums, once its buckets are read
         for j, (planes, guide) in enumerate(groups):
-            index = _draw_outcomes(u[:, j], guide, bucket, local.index[:m])
+            _draw_outcomes(u[:, j], guide, bucket, index)
             for c in range(d):  # the groups' partial sums add in group order
                 if j == 0:
                     np.take(planes[c], index, out=acc[c], mode="clip")
@@ -718,7 +717,7 @@ def ipf_monte_carlo(v, f: SymmetricAtoms, p: float, norm: NormSpec, samples: int
                     acc[c] += np.take(planes[c], index, out=look, mode="clip")
         norms[lo:hi] = norm_eval_many(norm, acc.T)
 
-    _map(draw_block, blocks, lanes)
+    _map(draw_block, stream(), lanes)
     peak, mean, std = _scaled_moments(norms, p, lanes)
     pth, value = _pth_and_value(peak, mean, p)
     stderr, _ = _pth_and_value(peak, std / math.sqrt(samples), p)

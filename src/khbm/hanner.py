@@ -32,19 +32,18 @@ The falsifier's batches run on the lanes of ``functional._map`` when a
 search forms at least ``functional._PARALLEL`` floats, counted as
 trials * d * (n + 2^(n-1)): the draws and the half sign sums.  Smaller
 searches, such as criterion 8's of 10^4 trials, stay on the calling
-thread.  The batches draw from the one generator in batch order (a batch
-waits until the one before it has drawn), so the draws are the one-shot
-(trials, n, d) stream bitwise; and batch i starts only once batch
-i - lanes is scanned, and no batch after a hit starts.  The results are
-scanned in batch order, so the first violation or overflow is the one
-a serial scan finds, whatever the lane count.  The budget holds the
-sign table and one largest batch per lane.
+thread.  The batches are a stream that ``_map`` takes one at a time and
+in order, and each batch is drawn from the one generator as it is taken,
+so the draws are the one-shot (trials, n, d) stream bitwise; no batch is
+drawn once a hit is known.  Every batch before a hit is drawn and
+scanned, so the hit with the least trial index is the first violation or
+overflow that a serial scan finds, whatever the lane count.  The budget
+holds the sign table and one largest batch per lane.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,46 +171,35 @@ def falsify_hanner(
     half = 1 << (n - 1)
     per = max(2, _ROWS // half)  # trials per batch, two at least: one trial takes the matrix-vector path
     edges = _edges(trials, per)
-    batches = list(enumerate(zip(edges, edges[1:])))
     # the half sign table as built in this call; per batch in flight its draws, sums, norm temporaries and
     # powered side, the largest batch's
     budget, most = default_budget(), min(trials, per + 1)
     table = _sign_floats(n, True)
     batch_floats = most * n * d + most * half * (d + 1) + _eval_floats(norm, most * half)
     _check_floats(table + batch_floats, budget, "the sign table and largest batch")
-    lanes = _lanes(len(batches), trials * d * (n + half), batch_floats, budget - table)
+    lanes = _lanes(len(edges) - 1, trials * d * (n + half), batch_floats, budget - table)
     rng = np.random.default_rng(seed)
     signs = _sign_matrix(n, half=True)  # eps_1 = +1
-    # batches draw in batch order, so the draws are the one-shot (trials, n, d) stream; batch i starts once
-    # batch i - lanes has been scanned, and no batch after a hit starts
-    turn = threading.Condition()
-    drawn, scanned, first_hit = [0], [False] * len(batches), [len(batches)]
+    hits = []
 
-    def search(batch: tuple[int, tuple[int, int]]) -> Optional[tuple]:
-        i, (start, stop) = batch
-        found = None
-        try:
-            with turn:
-                turn.wait_for(lambda: first_hit[0] < i or (drawn[0] == i and (i < lanes or scanned[i - lanes])))
-                if first_hit[0] < i:
-                    return None
-                draws = rng.standard_normal((stop - start, n, d))
-                drawn[0] = i + 1
-                turn.notify_all()
-            found = _scan(signs, draws, norm, q, mode, start)
-        finally:
-            with turn:  # also after an error, so no lane waits on this batch for ever
-                drawn[0], scanned[i] = max(drawn[0], i + 1), True
-                if found is not None:
-                    first_hit[0] = min(first_hit[0], i)
-                turn.notify_all()
-        return found
+    def batches():
+        # drawn in batch order as the lanes take them, so the draws are the one-shot (trials, n, d) stream;
+        # none is drawn once a hit is known
+        for start, stop in zip(edges, edges[1:]):
+            if hits:
+                return
+            yield start, rng.standard_normal((stop - start, n, d))
 
-    # the first hit in batch order wins, as in one serial scan of the trials
-    hit = next((found for found in _map(search, batches, lanes) if found is not None), None)
-    if hit is None:
+    def search(batch: tuple[int, np.ndarray]) -> None:
+        found = _scan(signs, batch[1], norm, q, mode, batch[0])
+        if found is not None:
+            hits.append(found)
+
+    _map(search, batches(), lanes)
+    if not hits:
         return None
-    index, over, gap, scale, draw = hit
+    # the least trial index: every batch before a hit is scanned, so it is a serial scan's first hit
+    index, over, gap, scale, draw = min(hits, key=lambda hit: hit[0])
     if over:
         raise ValueError(f"the sign sums at q = {q} leave the double range")
     return FalsificationResult(

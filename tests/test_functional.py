@@ -4,7 +4,11 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -860,9 +864,9 @@ def test_outputs_do_not_depend_on_worker_count(monkeypatch, workers):
 
 
 def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
-    # more lanes than cores, forced to interleave: a lost result slot, a shared uniforms or
-    # bucket buffer, a generator shared by two lanes or a falsifier batch drawn out of
-    # turn would change the outputs
+    # more lanes than cores, forced to interleave: a lost result slot, a buffer shared by
+    # two blocks, or a Monte Carlo block or falsifier batch drawn out of stream order
+    # would change the outputs
     monkeypatch.setattr(functional, "_WORKERS", 1)
     base = _parallel_outputs(monkeypatch)
     monkeypatch.setattr(functional, "_WORKERS", functional._MAX_WORKERS)
@@ -876,11 +880,120 @@ def test_lanes_switching_every_microsecond_match_one_lane(monkeypatch):
 
 
 def test_parallel_monte_carlo_is_one_draw(monkeypatch):
-    # per-lane PCG64 generators, advanced past the uniforms before each block, are the one stream
+    # the blocks' uniforms, drawn from the one generator as the lanes take the blocks in order, are one draw
     monkeypatch.setattr(functional, "_WORKERS", 2)
     res = _parallel_outputs(monkeypatch)[3]
     want = group_monte_carlo(_V7, _MC_LAW, 2.5, LpNorm(3.0, 3), 350_001, 5)
     assert (res.value, res.pth_power, res.stderr) == want
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_stalled_lane_moves_no_draw(monkeypatch, workers):
+    # a lane that sleeps 50 ms on its first Monte Carlo block, or on falsifier batch 0, lets the
+    # others run ahead through the stream; each block is drawn as it is taken, in stream order, so
+    # the Monte Carlo row and the falsifier's witness (that of test_hanner's _LATE_HIT) stay
+    # bitwise those of one lane
+    monkeypatch.setattr(functional, "_WORKERS", 1)
+    base = _parallel_outputs(monkeypatch)
+    real_scan, real_draw, draws = hanner._scan, functional._draw_outcomes, itertools.count()
+
+    def slow_scan(signs, batch, norm, q, mode, start):
+        if start == 0:
+            time.sleep(0.05)
+        return real_scan(signs, batch, norm, q, mode, start)
+
+    def slow_draw(u, guide, bucket, index):
+        if next(draws) == 0:
+            time.sleep(0.05)
+        return real_draw(u, guide, bucket, index)
+
+    monkeypatch.setattr(hanner, "_scan", slow_scan)
+    monkeypatch.setattr(functional, "_draw_outcomes", slow_draw)
+    monkeypatch.setattr(functional, "_WORKERS", workers)
+    got = _parallel_outputs(monkeypatch)
+    assert next(draws) > 1
+    assert (got[3], got[4]) == (base[3], base[4])  # bitwise
+
+
+class _Stream:
+    """Blocks 0..count-1, made one per ``next``, each counted while it is alive.
+
+    ``next`` sleeps while it holds a gate that an overlapping call would
+    find taken, and raises at block ``fail_at``.
+    """
+
+    def __init__(self, count, fail_at=None):
+        self.count, self.fail_at, self.made = count, fail_at, 0
+        self.gate, self.lock = threading.Lock(), threading.Lock()
+        self.overlaps, self.alive, self.most = 0, 0, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if not self.gate.acquire(blocking=False):
+            self.overlaps += 1
+            self.gate.acquire()
+        try:
+            time.sleep(1e-4)
+            i = self.made
+            if i == self.count:
+                raise StopIteration
+            self.made += 1
+            if i == self.fail_at:
+                raise RuntimeError(f"stream fails at {i}")
+            block = np.full(4, float(i))
+            with self.lock:
+                self.alive += 1
+                self.most = max(self.most, self.alive)
+            weakref.finalize(block, self._free)
+            return block
+        finally:
+            self.gate.release()
+
+    def _free(self):
+        with self.lock:
+            self.alive -= 1
+
+
+def _khbm_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("khbm")]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_map_takes_a_stream_in_order_with_lanes_blocks_alive(lanes):
+    # _map takes a lazy stream one block at a time and in order, and a lane lets go of its block
+    # before it takes the next, so at most `lanes` blocks are alive, the one being made included;
+    # an error from the stream or from fn is raised once, after every lane has ended
+    running, errors = [], []
+
+    def work(block, fails=False):
+        i = int(block[0])
+        running.append(i)
+        time.sleep(1e-3 * (i % 3))
+        running.remove(i)
+        if fails and i == 11:
+            errors.append(ValueError("fn fails at 11"))
+            raise errors[-1]
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stream = _Stream(30)
+        assert functional._map(work, stream, lanes) == list(range(30))
+        assert stream.overlaps == 0 and 1 <= stream.most <= lanes and stream.alive == 0
+        stream = _Stream(30, fail_at=17)
+        with pytest.raises(RuntimeError, match="^stream fails at 17$"):
+            functional._map(work, stream, lanes)
+        assert not running and not _khbm_threads()
+        assert stream.overlaps == 0 and stream.most <= lanes
+        with pytest.raises(ValueError) as raised:
+            functional._map(partial(work, fails=True), _Stream(30), lanes)
+        assert raised.value is errors[0] and len(errors) == 1
+        assert not running and not _khbm_threads()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_budget_refusals_come_before_any_pool(monkeypatch):

@@ -177,8 +177,9 @@ def test_falsifier_first_hit_does_not_depend_on_lanes(monkeypatch, workers):
 
 
 def test_falsifier_stops_starting_batches_after_a_hit(monkeypatch):
-    # the planar l^1 type violation comes at trial 0 of 200,000 (25 batches): batch 0 holds it,
-    # and each extra lane may have started one batch before the hit was known
+    # the planar l^1 type violation comes at trial 0 of 200,000 (25 batches): batch 0 holds it.
+    # No batch is drawn once the hit is known, and batch 0 is taken first, so unless its lane
+    # stalls for a whole batch, each extra lane starts one batch at most before the hit is known
     starts = []
     real_scan = hanner._scan
 
